@@ -153,9 +153,7 @@ def _cmd_count_trees(args) -> None:
     log_t = electric.log_spanning_tree_count(G)
     payload = {"log_t": log_t, "normalized": float(np.exp(log_t / G.n) / G.n)}
     if args.graphon is not None:
-        g = load_graphon(args.graphon)
-        _lhs, rhs = electric.normalized_tree_count_vs_graphon(G, g)
-        payload["graphon_rhs"] = rhs
+        payload["graphon_rhs"] = electric.graphon_tree_count_rhs(load_graphon(args.graphon))
     else:
         payload["graphon_rhs"] = None
     _emit(_dump(payload) + "\n", args.out)

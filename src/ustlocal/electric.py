@@ -104,16 +104,20 @@ def log_spanning_tree_count(G: MultiGraph) -> float:
     return float(logdet)
 
 
+def graphon_tree_count_rhs(W) -> float:
+    """exp(sum_i mu_i log d_i): the graphon side of the normalized tree count."""
+    d = W.block_degrees
+    if float(d.min()) <= 0.0:
+        raise DegenerateGraphon("graphon has a zero-degree block")
+    return math.exp(float(np.dot(W.mu, np.log(d))))
+
+
 def normalized_tree_count_vs_graphon(G: MultiGraph, W) -> tuple[float, float]:
     """Return (t(G)^{1/n} / n, exp(sum_i mu_i log d_i)); comparison left to caller."""
     log_t = log_spanning_tree_count(G)
     n = G.n
     lhs = math.exp(log_t / n - math.log(n))
-    d = W.block_degrees
-    if float(d.min()) <= 0.0:
-        raise DegenerateGraphon("graphon has a zero-degree block")
-    rhs = math.exp(float(np.dot(W.mu, np.log(d))))
-    return lhs, rhs
+    return lhs, graphon_tree_count_rhs(W)
 
 
 def kostochka_upper_check(G: MultiGraph) -> bool:

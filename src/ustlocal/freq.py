@@ -1,16 +1,22 @@
 """Frequency functionals for rooted tree patterns.
 
-The graphon functional integrates, over all block assignments of the pattern
-vertices, the product of kernel entries along pattern edges times
+The graphon functional Freq(T; W) sums, over all block assignments of the
+pattern vertices, the product of kernel entries along pattern edges times
 exp(-sum b) over vertices below the top height and a degree ratio whose
-numerator ranges over the top-height vertices.  Discrete analogues sum the
-same weight over ordered tuples of distinct vertices whose pattern edges are
-graph edges.
+numerator ranges over the top-height vertices.  That weight factorizes over
+the pattern's edges except for the numerator, which is linear, so one
+bottom-up pass over the tree evaluates it exactly in O(ell k^2) for ell
+pattern vertices and k blocks (the sum-product method on trees, carrying a
+second message for the numerator).  Patterns with k**ell above
+``ASSIGNMENT_CAP`` are refused: the cap is the documented pattern-size
+contract.
 
-The discrete sums support two exact evaluators: literal backtracking over
-injective embeddings (the definition, with a work budget), and an
-inclusion-exclusion over the partition lattice that reduces distinctness to
-a handful of small tensor contractions and scales to dense desk-size graphs.
+Discrete analogues sum the same weight over ordered tuples of distinct
+vertices whose pattern edges are graph edges.  They support two exact
+evaluators: literal backtracking over injective embeddings (the definition,
+with a work budget), and an inclusion-exclusion over the partition lattice
+that reduces distinctness to a handful of small tensor contractions and
+scales to dense desk-size graphs.
 """
 from __future__ import annotations
 
@@ -60,36 +66,37 @@ def _pattern(T: RootedTree) -> tuple[int, int, list[tuple[int, int]], int]:
 
 
 def freq_graphon(T: RootedTree, g: StepGraphon, assignment_cap: int = ASSIGNMENT_CAP) -> FreqReport:
-    """Exact finite sum over block assignments of the pattern vertices."""
+    """Exact Freq(T; W) by one bottom-up pass over the normalized pattern.
+
+    The assignment weight is a product over pattern edges times the linear
+    top-height degree sum, so each vertex v carries two length-k vectors:
+    F_v(i), the weight of v's subtree with v in block i, and S_v(i), the same
+    weight times the sum of d over the subtree's top-height vertices.  Folding
+    child c into its parent with M = W F_c and N = W S_c gives S <- S M + F N
+    and F <- F M.  The cost is O(ell k^2) for ell pattern vertices and k blocks.
+
+    ``assignment_cap`` is the documented pattern-size contract: patterns with
+    k**ell > assignment_cap raise PatternTooLarge before any work.
+    """
     g.require_nondegenerate()
     ell, p, edges, stab = _pattern(T)
     k = g.k
     if k**ell > assignment_cap:
         raise PatternTooLarge(f"{k}^{ell} assignments exceed cap {assignment_cap}")
-    mu = g.mu
     d = g.block_degrees
-    b = g.block_b
-    expb = np.exp(-b)
-    terms = {i: 0.0 for i in range(k)}
-    for assign in itertools.product(range(k), repeat=ell):
-        w = 1.0
-        for (i, j) in edges:
-            w *= g.W[assign[i], assign[j]]
-            if w == 0.0:
-                break
-        if w == 0.0:
-            continue
-        for j in range(ell):
-            w *= mu[assign[j]]
-            w /= d[assign[j]]
-            if j < p:
-                w *= expb[assign[j]]
-        w *= sum(d[assign[j]] for j in range(p, ell))
-        terms[assign[0]] += w
-    for i in terms:
-        terms[i] /= stab
+    base = g.mu / d
+    below = base * np.exp(-g.block_b)
+    F = [below if v < p else base for v in range(ell)]
+    S = [np.zeros(k) if v < p else base * d for v in range(ell)]
+    # parents precede children, so in reverse order every child's subtree is complete
+    for (a, c) in reversed(edges):
+        M = g.W @ F[c]
+        N = g.W @ S[c]
+        S[a] = S[a] * M + F[a] * N
+        F[a] = F[a] * M
+    terms = {i: float(S[0][i]) / stab for i in range(k)}
     value = float(sum(terms.values()))
-    return FreqReport(value=value, terms=terms, tuple_count=None, stab=stab, method="enumeration")
+    return FreqReport(value=value, terms=terms, tuple_count=None, stab=stab, method="tree-dp")
 
 
 # -- discrete side: shared machinery -----------------------------------------------
@@ -335,13 +342,17 @@ def freq_graph(
     _ell, _p, _edges, stab = _pattern(T)
     terms = {}
     count = 0
+    used = set()
     for i in sorted(big):
         part_frac = len(dec.part(i)) / G.n
         comp = freq_graph_component(T, G, dec, i, report.good, method, budget)
         terms[i] = part_frac * comp.value
         count += comp.tuple_count or 0
+        used.add(comp.method)
     value = float(sum(terms.values()))
-    return FreqReport(value=value, terms=terms, tuple_count=count, stab=stab, method=method)
+    # report the evaluators the parts used; the request when no part is big
+    used_method = "+".join(sorted(used)) if used else method
+    return FreqReport(value=value, terms=terms, tuple_count=count, stab=stab, method=used_method)
 
 
 def freq_minus(
@@ -352,17 +363,19 @@ def freq_minus(
     method: str = "auto",
     budget: int = EMBEDDING_BUDGET,
 ) -> FreqReport:
-    """Tuples avoid V0 and use no pattern edge from E0; whole-graph degrees and b."""
+    """Tuples avoid V0 and use no pattern edge from E0; whole-graph degrees and b.
+
+    Vertices in V0 and the endpoints of E0 must lie in 0..n-1.
+    """
     ell, p, edges, stab = _pattern(T)
-    allowed = np.ones(G.n, dtype=bool)
-    for v in V0:
-        allowed[int(v)] = False
+    allowed = ~G._check_vertex_set(V0)
+    E0 = [(int(entry[0]), int(entry[1])) for entry in E0]
+    G._check_vertex_set(itertools.chain.from_iterable(E0))
     deg = G.degrees
     if (deg[allowed] == 0).any():
         raise ParameterOutOfRange("vertices outside V0 must have positive degree")
     presence = (G.adjacency_matrix() > 0).astype(np.float64)
-    for entry in E0:
-        u, v = int(entry[0]), int(entry[1])
+    for (u, v) in E0:
         presence[u, v] = 0.0
         presence[v, u] = 0.0
     expb = np.exp(-_global_b_vector(G))

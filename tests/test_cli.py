@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from ustlocal import electric
+from ustlocal.cli import main
 from ustlocal.graphon import constant_graphon, save_graphon
 from ustlocal.multigraph import complete_graph, write_edge_list
 from ustlocal.trees import RootedTree
@@ -60,6 +62,7 @@ def test_freq_graph_trivial_decomposition(workdir):
     assert res.returncode == 0, res.stderr
     payload = json.loads(res.stdout)
     assert payload["value"] == pytest.approx(math.exp(-1), abs=1e-12)
+    assert payload["method"] == "backtrack"  # the evaluator used, not the request
 
 
 def test_determinism_same_seed_same_bytes(workdir):
@@ -88,6 +91,22 @@ def test_count_trees_and_resistance(workdir):
     res = run_cli("resistance", "--graph", str(workdir / "k8.txt"), "--u", "0", "--v", "1")
     payload = json.loads(res.stdout)
     assert payload["r_eff"] == pytest.approx(2 / 8, abs=1e-12)
+
+
+def test_count_trees_one_log_determinant(workdir, monkeypatch, capsys):
+    calls = []
+    real = electric.log_spanning_tree_count
+
+    def counting(G):
+        calls.append(G.n)
+        return real(G)
+
+    monkeypatch.setattr(electric, "log_spanning_tree_count", counting)
+    code = main(["count-trees", "--graph", str(workdir / "k8.txt"),
+                 "--graphon", str(workdir / "const1.json")])
+    assert code == 0
+    assert calls == [8]
+    assert json.loads(capsys.readouterr().out)["graphon_rhs"] == pytest.approx(1.0)
 
 
 def test_walk_schema(workdir):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ustlocal import freq as freq_mod
 from ustlocal.decompose import ExpanderDecomposition, trivial_decomposition
 from ustlocal.errors import (
     DegenerateGraphon,
@@ -11,6 +12,7 @@ from ustlocal.errors import (
     ParameterOutOfRange,
     PartIndexOutOfRange,
     PatternTooLarge,
+    VertexOutOfRange,
 )
 from ustlocal.freq import freq_graph, freq_graph_component, freq_graphon, freq_minus
 from ustlocal.graphon import StepGraphon, constant_graphon
@@ -53,6 +55,29 @@ def brute_force_freq_minus(T, G, V0, E0):
     return total / (T.stab_size() * G.n)
 
 
+def _freq_graphon_enumerated(T, g):
+    """Freq(T; W) as the literal sum over all k^ell block assignments."""
+    norm, p = T.normalized()
+    ell = norm.size
+    edges = norm.edge_list()
+    mu = g.mu
+    d = g.block_degrees
+    expb = np.exp(-g.block_b)
+    terms = {i: 0.0 for i in range(g.k)}
+    for assign in itertools.product(range(g.k), repeat=ell):
+        w = 1.0
+        for (i, j) in edges:
+            w *= g.W[assign[i], assign[j]]
+        for j in range(ell):
+            w *= mu[assign[j]] / d[assign[j]]
+            if j < p:
+                w *= expb[assign[j]]
+        w *= sum(d[assign[j]] for j in range(p, ell))
+        terms[assign[0]] += w
+    terms = {i: t / T.stab_size() for i, t in terms.items()}
+    return sum(terms.values()), terms
+
+
 def test_freq_graphon_single_edge():
     rep = freq_graphon(EDGE, W1)
     assert rep.value == pytest.approx(math.exp(-1), abs=1e-14)
@@ -84,6 +109,23 @@ def test_freq_graphon_brute_force_two_block(rng):
             total += w
         expect = total / T.stab_size()
         assert freq_graphon(T, g).value == pytest.approx(expect, rel=1e-12)
+
+
+def test_freq_graphon_matches_enumeration(rng):
+    patterns = enumerate_rooted_trees(6, min_height=1)
+    for trial in range(20):
+        k = trial % 3 + 1
+        mu = rng.dirichlet(np.ones(k))
+        W = rng.uniform(0.05, 1.0, size=(k, k))
+        g = StepGraphon(mu, (W + W.T) / 2)
+        for T in patterns:
+            value, terms = _freq_graphon_enumerated(T, g)
+            rep = freq_graphon(T, g)
+            assert rep.method == "tree-dp"
+            assert rep.value == pytest.approx(value, rel=1e-12)
+            assert set(rep.terms) == set(terms)
+            for i in terms:
+                assert rep.terms[i] == pytest.approx(terms[i], rel=1e-12)
 
 
 def test_freq_graphon_guards():
@@ -177,6 +219,7 @@ def test_freq_graph_single_part_scaling():
     rep = freq_graph(EDGE, G, dec, alpha=0.5, eps=0.1)
     comp = freq_graph_component(EDGE, G, dec, 1, np.ones(20, dtype=bool))
     assert rep.value == pytest.approx(comp.value, rel=1e-12)  # |V_1|/n = 1
+    assert rep.method == comp.method == "backtrack"
 
 
 def test_freq_graph_no_big_parts_zero():
@@ -185,20 +228,37 @@ def test_freq_graph_no_big_parts_zero():
     dec = trivial_decomposition(G)
     rep = freq_graph(EDGE, G, dec, alpha=0.9, eps=0.9)
     assert rep.value == 0.0 and rep.terms == {}
+    assert rep.method == "auto"  # no part was evaluated
 
 
-def test_freq_graph_two_cliques_plus_matching():
-    m = 60
+def _two_cliques_plus_matching(m):
     edges = []
     for base in (0, m):
         edges += [(base + i, base + j, 1) for i in range(m) for j in range(i + 1, m)]
     edges += [(i, m + i, 1) for i in range(m)]
     G = MultiGraph.build(2 * m, edges)
     labels = np.concatenate([np.ones(m, dtype=int), np.full(m, 2, dtype=int)])
-    dec = ExpanderDecomposition(labels, 0.1, 0.1, 0.1)
+    return G, ExpanderDecomposition(labels, 0.1, 0.1, 0.1)
+
+
+def test_freq_graph_two_cliques_plus_matching():
+    G, dec = _two_cliques_plus_matching(60)
     rep = freq_graph(EDGE, G, dec, alpha=1e-3, eps=0.2)
     assert set(rep.terms) == {1, 2}
     assert rep.value == pytest.approx(math.exp(-1), abs=0.02)
+
+
+def test_freq_graph_reports_every_evaluator_used(monkeypatch):
+    G, dec = _two_cliques_plus_matching(60)
+    real = freq_mod.freq_graph_component
+
+    def per_part_method(T, G, dec, i, good, method, budget):
+        return real(T, G, dec, i, good, "mobius" if i == 1 else "backtrack", budget)
+
+    monkeypatch.setattr(freq_mod, "freq_graph_component", per_part_method)
+    rep = freq_graph(EDGE, G, dec, alpha=1e-3, eps=0.2)
+    assert set(rep.terms) == {1, 2}
+    assert rep.method == "backtrack+mobius"
 
 
 def test_freq_minus_trivial_equals_component():
@@ -212,6 +272,15 @@ def test_freq_minus_trivial_equals_component():
 def test_freq_minus_all_vertices_blocked():
     G = complete_graph(6)
     assert freq_minus(EDGE, G, list(range(6)), []).value == 0.0
+
+
+def test_freq_minus_vertex_range():
+    G = complete_graph(12)
+    for bad in (-1, 12):
+        with pytest.raises(VertexOutOfRange):
+            freq_minus(EDGE, G, [bad], [])
+        with pytest.raises(VertexOutOfRange):
+            freq_minus(EDGE, G, [], [(0, bad)])
 
 
 def test_freq_minus_k4_vs_brute_force(rng):
