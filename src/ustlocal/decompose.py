@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotSimple, ParameterOutOfRange, PartIndexOutOfRange, PartitionMismatch
 from .multigraph import MultiGraph
-from .walk import _fiedler_vector
+from .walk import sweep_cuts
 
 GOOD_CONSTANT_DEFAULTS = {"c_a": 1.0, "c_b": 1.0, "c_c": 1.0, "c_d": 1.0}
 BIG_CONSTANT_DEFAULTS = {"c_e": 1.0, "c_f": 0.4}
@@ -134,47 +134,36 @@ def trivial_decomposition(G: MultiGraph, gamma: float = 0.0, eta: float = 1.0, e
 # -- construction ---------------------------------------------------------------
 
 
-def _sweep_candidates(sub: MultiGraph) -> list[np.ndarray]:
-    """Prefix sets of the Fiedler order, scanned from both ends."""
-    if sub.n < 2:
-        return []
-    y = _fiedler_vector(sub)
-    order = np.argsort(-y, kind="stable")
-    out = []
-    for k in range(1, sub.n):
-        out.append(order[:k])
-    rev = order[::-1]
-    for k in range(1, sub.n):
-        out.append(rev[:k])
-    return out
-
-
 def _best_split(G: MultiGraph, cluster: np.ndarray) -> tuple[float, np.ndarray | None]:
     """Cheapest sweep cut of G[cluster] in dense-expansion units e/( |S||P\\S| )."""
     sub, _ = G.induced_subgraph(cluster)
     if sub.n < 2:
         return float("inf"), None
-    y = _fiedler_vector(sub)
-    order = np.argsort(-y, kind="stable")
-    nbrs, mults = sub.adjacency_lists()
-    deg = sub.degrees
-    in_s = np.zeros(sub.n, dtype=bool)
-    cut = 0
-    best = float("inf")
-    best_k = None
-    for k in range(sub.n - 1):
-        v = int(order[k])
-        into = int(mults[v][in_s[nbrs[v]]].sum()) if len(nbrs[v]) else 0
-        in_s[v] = True
-        cut += deg[v] - 2 * into
-        size = k + 1
-        ratio = cut / (size * (sub.n - size))
-        if ratio < best:
-            best = ratio
-            best_k = size
-    if best_k is None:
-        return float("inf"), None
-    return best, cluster[order[:best_k]]
+    order, cuts = sweep_cuts(sub)
+    sizes = np.arange(1, sub.n)
+    ratios = cuts / (sizes * (sub.n - sizes))
+    best_k = int(np.argmin(ratios)) + 1
+    return float(ratios[best_k - 1]), cluster[order[:best_k]]
+
+
+def _first_violating_prefix(sub: MultiGraph, gamma: float) -> np.ndarray | None:
+    """First sweep set X with |X| <= (3/5)|P| and e(X, P\\X) < gamma |X||P\\X|.
+
+    Candidates are the prefixes of the Fiedler order by size, then those of
+    the reversed order; a reversed prefix is the complement of a forward one
+    and has the same cut.
+    """
+    n = sub.n
+    order, cuts = sweep_cuts(sub)
+    sizes = np.arange(1, n)
+    cand_cuts = np.concatenate([cuts, cuts[::-1]])
+    cand_sizes = np.concatenate([sizes, sizes])
+    violating = (cand_sizes <= 0.6 * n) & (cand_cuts < gamma * cand_sizes * (n - cand_sizes))
+    if not violating.any():
+        return None
+    i = int(np.argmax(violating))
+    k = int(cand_sizes[i])
+    return order[:k] if i < n - 1 else order[::-1][:k]
 
 
 def _clean_cluster(
@@ -206,15 +195,7 @@ def _clean_cluster(
         if len(alive) <= 2:
             break
         sub, _ = G.induced_subgraph(alive)
-        found = None
-        for cand in _sweep_candidates(sub):
-            if len(cand) > 0.6 * len(alive):
-                continue
-            others = np.setdiff1d(np.arange(sub.n), cand)
-            cut = sub.pair_count(cand.tolist(), others.tolist())
-            if cut < gamma * len(cand) * len(others):
-                found = cand
-                break
+        found = _first_violating_prefix(sub, gamma)
         if found is None:
             break
         alive_arr = np.array(alive)

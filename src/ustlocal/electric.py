@@ -19,6 +19,7 @@ from .errors import (
     NumericError,
     ParameterOutOfRange,
     SameVertex,
+    VertexOutOfRange,
 )
 from .multigraph import MultiGraph
 
@@ -55,6 +56,8 @@ class LaplacianSystem:
         return x
 
     def resistance(self, u: int, v: int) -> float:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise VertexOutOfRange(f"vertices ({u},{v}) outside 0..{self.n - 1}")
         if u == v:
             raise SameVertex(f"u = v = {u}")
         b = np.zeros(self.n)

@@ -17,6 +17,7 @@ from .errors import (
     EntryOutOfRange,
     MeasuresDontSumToOne,
     TooManyBlocks,
+    VertexOutOfRange,
 )
 from .multigraph import MultiGraph
 from .rng import stream
@@ -129,6 +130,8 @@ def cut_norm_step(U: np.ndarray, mu: np.ndarray, block_limit: int = CUT_NORM_BLO
 
 def sample_w_random_graph(g: StepGraphon, n: int, seed: int) -> tuple[MultiGraph, np.ndarray]:
     """W-random simple graph: iid block labels, independent edges W[type u][type v]."""
+    if int(n) < 0:
+        raise VertexOutOfRange(f"negative vertex count {n}")
     rng = stream(seed)
     cum = np.cumsum(g.mu)
     labels = np.searchsorted(cum, rng.random(n), side="right")
@@ -136,8 +139,7 @@ def sample_w_random_graph(g: StepGraphon, n: int, seed: int) -> tuple[MultiGraph
     iu, ju = np.triu_indices(n, k=1)
     probs = g.W[labels[iu], labels[ju]]
     keep = rng.random(len(iu)) < probs
-    edges = [(int(u), int(v), 1) for u, v in zip(iu[keep], ju[keep])]
-    return MultiGraph.build(n, edges), labels
+    return MultiGraph.from_arrays(n, iu[keep], ju[keep]), labels
 
 
 @dataclass

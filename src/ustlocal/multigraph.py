@@ -1,9 +1,11 @@
 """Loopless multigraphs with ordered-pair edge counting.
 
-Edges are stored as a multiplicity map keyed by the normalized (min, max)
-vertex pair, iterated in sorted order so that every downstream sampler is
-reproducible.  e(A, B) counts ordered pairs with multiplicity: an edge with
-both endpoints in A and B contributes twice.
+Edges are stored as three int64 arrays `u`, `v`, `mult` with u < v, one entry
+per vertex pair, in lexicographic (u, v) order, so every downstream sampler
+is reproducible.  A compressed sparse row (CSR) form of the symmetric
+adjacency (`indptr`, `indices`, `weights`) is built on first use; each row
+lists its neighbours in increasing order.  e(A, B) counts ordered pairs with
+multiplicity: an edge with both endpoints in A and B contributes twice.
 """
 from __future__ import annotations
 
@@ -26,79 +28,184 @@ def _normalize_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _edge_multiset(entries) -> dict[tuple[int, int], int]:
-    """Accumulate (u, v) pairs or (u, v, mult) triples into a pair -> count map."""
-    out: dict[tuple[int, int], int] = {}
+def _entry_arrays(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v) pairs or (u, v, mult) triples as three int64 arrays, in input order."""
+    us: list[int] = []
+    vs: list[int] = []
+    ms: list[int] = []
     for entry in entries:
         if len(entry) == 2:
             u, v = entry
             m = 1
         else:
             u, v, m = entry
-        key = _normalize_pair(int(u), int(v))
-        out[key] = out.get(key, 0) + int(m)
-    return out
+        us.append(int(u))
+        vs.append(int(v))
+        ms.append(int(m))
+    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+            np.array(ms, dtype=np.int64))
+
+
+def _edge_multiset(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized pairs (a <= b) of the entries with summed counts.
+
+    Pairs come in order of first appearance.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for u, v, m in zip(*(arr.tolist() for arr in _entry_arrays(entries))):
+        key = _normalize_pair(u, v)
+        counts[key] = counts.get(key, 0) + m
+    pairs = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1], np.array(list(counts.values()), dtype=np.int64)
+
+
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """(indptr, indices, weights) of the symmetric adjacency of the edges (u, v, w).
+
+    Row r takes its entries from the edges (a, r) first, then from (r, b); a
+    stable sort by row keeps their order, so for pairs in lexicographic
+    order with a < r < b every row lists its neighbours in increasing order.
+    """
+    rows = np.concatenate([v, u])
+    order = np.argsort(rows, kind="stable")
+    indices = np.concatenate([u, v])[order]
+    weights = np.concatenate([w, w])[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices, weights
+
+
+def _csr_components(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Component labels of a symmetric CSR adjacency, numbered by smallest vertex."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    _count, raw = connected_components(adj, directed=False)
+    _uniq, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+    return rank[inverse.ravel()]
+
+
+def components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected-component labels of the graph on 0..n-1 with edges (u[i], v[i]).
+
+    Labels are numbered in order of each component's smallest vertex.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    if len(u) == 0:
+        return np.arange(n, dtype=np.int64)
+    indptr, indices, _weights = _symmetric_csr(n, u, v, np.ones_like(u))
+    return _csr_components(n, indptr, indices)
 
 
 class MultiGraph:
-    """Immutable loopless multigraph on vertices 0..n-1."""
+    """Immutable loopless multigraph on vertices 0..n-1.
 
-    def __init__(self, n: int, mult: dict[tuple[int, int], int]):
+    The constructor takes the canonical arrays as they are (u < v, unique
+    pairs in lexicographic order, mult >= 1); `build` and `from_arrays` check
+    and canonicalize arbitrary input.
+    """
+
+    def __init__(self, n: int, u: np.ndarray, v: np.ndarray, mult: np.ndarray):
         self.n = int(n)
-        self._mult = dict(sorted(mult.items()))
+        self.u, self.v, self.mult = u, v, mult
+        for arr in (u, v, mult):
+            arr.flags.writeable = False
+        self._keys: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
-        self._adj: list[np.ndarray] | None = None
-        self._adj_mult: list[np.ndarray] | None = None
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._adj: tuple[list[np.ndarray], list[np.ndarray]] | None = None
         self._components: np.ndarray | None = None
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def build(cls, n: int, edge_list: Iterable[Sequence[int]]) -> "MultiGraph":
-        """Build from (u, v, multiplicity) entries; parallel entries accumulate."""
+    def from_arrays(cls, n: int, u, v, mult=None) -> "MultiGraph":
+        """Build from endpoint arrays; parallel entries accumulate.
+
+        Entries are checked in order and the first bad one raises: a loop
+        (LoopEdge), then an endpoint outside 0..n-1 (VertexOutOfRange), then
+        a multiplicity below 1 (ZeroMultiplicity).
+        """
         n = int(n)
         if n < 0:
             raise VertexOutOfRange(f"negative vertex count {n}")
-        mult: dict[tuple[int, int], int] = {}
-        for entry in edge_list:
-            if len(entry) == 2:
-                u, v = entry
-                m = 1
-            else:
-                u, v, m = entry
-            u, v, m = int(u), int(v), int(m)
-            if u == v:
-                raise LoopEdge(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
-            if m < 1:
-                raise ZeroMultiplicity(f"multiplicity {m} for edge ({u},{v})")
-            key = _normalize_pair(u, v)
-            mult[key] = mult.get(key, 0) + m
-        return cls(n, mult)
+        u = np.asarray(u, dtype=np.int64).ravel()
+        v = np.asarray(v, dtype=np.int64).ravel()
+        m = np.ones(len(u), dtype=np.int64) if mult is None else np.array(mult, dtype=np.int64).ravel()
+        loop = u == v
+        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        zero = m < 1
+        bad = np.flatnonzero(loop | outside | zero)
+        if len(bad):
+            i = int(bad[0])
+            a, b, c = int(u[i]), int(v[i]), int(m[i])
+            if loop[i]:
+                raise LoopEdge(f"loop at vertex {a}")
+            if outside[i]:
+                raise VertexOutOfRange(f"edge ({a},{b}) outside 0..{n - 1}")
+            raise ZeroMultiplicity(f"multiplicity {c} for edge ({a},{b})")
+        a, b = np.minimum(u, v), np.maximum(u, v)
+        key = a * n + b
+        if len(key) > 1 and not bool((key[1:] > key[:-1]).all()):
+            order = np.argsort(key, kind="stable")
+            key, m = key[order], m[order]
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            key, m = key[starts], np.add.reduceat(m, starts)
+            a, b = key // n, key % n
+        return cls(n, a, b, m)
+
+    @classmethod
+    def build(cls, n: int, edge_list: Iterable[Sequence[int]]) -> "MultiGraph":
+        """Build from (u, v) or (u, v, multiplicity) entries; parallel entries accumulate."""
+        return cls.from_arrays(n, *_entry_arrays(edge_list))
 
     # -- basic accessors --------------------------------------------------------
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, multiplicity) with u < v in sorted order."""
-        for (u, v), m in self._mult.items():
-            yield u, v, m
+        return zip(self.u.tolist(), self.v.tolist(), self.mult.tolist())
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        return list(self._mult.keys())
+        return list(zip(self.u.tolist(), self.v.tolist()))
+
+    def _pair_keys(self) -> np.ndarray:
+        """u * n + v for every pair: sorted, so a pair is found by bisection."""
+        if self._keys is None:
+            self._keys = self.u * self.n + self.v
+        return self._keys
+
+    def multiplicities(self, a, b) -> np.ndarray:
+        """Multiplicity of each pair (a[i], b[i]); 0 for non-edges, loops and outside vertices."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = self._pair_keys()
+        key = lo * self.n + hi
+        idx = np.searchsorted(keys, key)
+        found = (lo >= 0) & (hi < self.n) & (lo != hi) & (idx < len(keys))
+        found[found] = keys[idx[found]] == key[found]
+        out = np.zeros(len(key), dtype=np.int64)
+        out[found] = self.mult[idx[found]]
+        return out
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._mult.get(_normalize_pair(u, v), 0)
+        return int(self.multiplicities([u], [v])[0])
 
     @property
     def num_edges(self) -> int:
         """Total edge multiplicity."""
-        return sum(self._mult.values())
+        return int(self.mult.sum())
 
     @property
     def max_multiplicity(self) -> int:
         """Maximal number of parallel edges between any pair (1 for empty graphs)."""
-        return max(self._mult.values(), default=1)
+        return int(self.mult.max(initial=1))
 
     @property
     def is_simple(self) -> bool:
@@ -107,45 +214,51 @@ class MultiGraph:
     @property
     def degrees(self) -> np.ndarray:
         if self._degrees is None:
-            deg = np.zeros(self.n, dtype=np.int64)
-            for (u, v), m in self._mult.items():
-                deg[u] += m
-                deg[v] += m
-            self._degrees = deg
+            deg = np.bincount(self.u, weights=self.mult, minlength=self.n)
+            deg += np.bincount(self.v, weights=self.mult, minlength=self.n)
+            self._degrees = deg.astype(np.int64)
         return self._degrees
 
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
+    def _vertices(self, A: Iterable[int]) -> np.ndarray:
+        """The vertices of A as an int64 array; one outside 0..n-1 raises VertexOutOfRange."""
+        idx = np.asarray(A if isinstance(A, np.ndarray) else list(A), dtype=np.int64).ravel()
+        bad = np.flatnonzero((idx < 0) | (idx >= self.n))
+        if len(bad):
+            raise VertexOutOfRange(f"vertex {int(idx[bad[0]])} outside 0..{self.n - 1}")
+        return idx
+
     def _check_vertex_set(self, A: Iterable[int]) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
-        for a in A:
-            a = int(a)
-            if not (0 <= a < self.n):
-                raise VertexOutOfRange(f"vertex {a} outside 0..{self.n - 1}")
-            mask[a] = True
+        mask[self._vertices(A)] = True
         return mask
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=dtype)
-        for (u, v), m in self._mult.items():
-            A[u, v] = m
-            A[v, u] = m
+        A[self.u, self.v] = self.mult
+        A[self.v, self.u] = self.mult
         return A
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, weights) of the symmetric adjacency, rows sorted by neighbour."""
+        if self._csr is None:
+            self._csr = _symmetric_csr(self.n, self.u, self.v, self.mult)
+            for arr in self._csr:
+                arr.flags.writeable = False
+        return self._csr
+
     def adjacency_lists(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-vertex neighbor arrays and matching multiplicities, sorted."""
+        """Per-vertex neighbor arrays and matching multiplicities, sorted (views into the CSR)."""
         if self._adj is None:
-            nbrs: list[list[int]] = [[] for _ in range(self.n)]
-            mults: list[list[int]] = [[] for _ in range(self.n)]
-            for (u, v), m in self._mult.items():
-                nbrs[u].append(v)
-                mults[u].append(m)
-                nbrs[v].append(u)
-                mults[v].append(m)
-            self._adj = [np.array(a, dtype=np.int64) for a in nbrs]
-            self._adj_mult = [np.array(a, dtype=np.int64) for a in mults]
-        return self._adj, self._adj_mult
+            indptr, indices, weights = self.csr()
+            bounds = indptr.tolist()
+            self._adj = (
+                [indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+                [weights[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+            )
+        return self._adj
 
     # -- pair counting ------------------------------------------------------------
 
@@ -153,13 +266,9 @@ class MultiGraph:
         """e(A, B): ordered pairs forming an edge, counted with multiplicity."""
         in_a = self._check_vertex_set(A)
         in_b = self._check_vertex_set(B)
-        total = 0
-        for (u, v), m in self._mult.items():
-            if in_a[u] and in_b[v]:
-                total += m
-            if in_a[v] and in_b[u]:
-                total += m
-        return total
+        forward = in_a[self.u] & in_b[self.v]
+        backward = in_a[self.v] & in_b[self.u]
+        return int(self.mult[forward].sum() + self.mult[backward].sum())
 
     def degree_into(self, v: int, mask: np.ndarray) -> int:
         """deg(v, A) for a boolean membership mask A."""
@@ -176,90 +285,50 @@ class MultiGraph:
 
         Returns the contracted graph and the old -> new vertex map.
         """
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pair in _edge_multiset(S):
-            u, v = pair
-            if self.multiplicity(u, v) == 0:
-                raise EdgeNotInGraph(f"edge {pair} not in graph")
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-
-        roots: dict[int, int] = {}
-        vmap = np.empty(self.n, dtype=np.int64)
-        for v in range(self.n):
-            r = find(v)
-            if r not in roots:
-                roots[r] = len(roots)
-            vmap[v] = roots[r]
-
-        mult: dict[tuple[int, int], int] = {}
-        for (u, v), m in self._mult.items():
-            a, b = int(vmap[u]), int(vmap[v])
-            if a == b:
-                continue
-            key = _normalize_pair(a, b)
-            mult[key] = mult.get(key, 0) + m
-        return MultiGraph(len(roots), mult), vmap
+        a, b, _counts = _edge_multiset(S)
+        missing = np.flatnonzero(self.multiplicities(a, b) == 0)
+        if len(missing):
+            i = int(missing[0])
+            raise EdgeNotInGraph(f"edge {(int(a[i]), int(b[i]))} not in graph")
+        vmap = components(self.n, a, b)
+        cu, cv = vmap[self.u], vmap[self.v]
+        keep = cu != cv
+        n_new = int(vmap.max(initial=-1)) + 1
+        return MultiGraph.from_arrays(n_new, cu[keep], cv[keep], self.mult[keep]), vmap
 
     def delete(self, S: Iterable[Sequence[int]]) -> "MultiGraph":
         """Remove edge copies listed in S; (u, v) removes one copy, (u, v, m) removes m."""
-        removals = _edge_multiset(S)
-        mult = dict(self._mult)
-        for pair, m in removals.items():
-            have = mult.get(pair, 0)
-            if have < m:
-                raise EdgeNotInGraph(f"cannot remove {m} copies of {pair}, have {have}")
-            if have == m:
-                del mult[pair]
-            else:
-                mult[pair] = have - m
-        return MultiGraph(self.n, mult)
+        a, b, counts = _edge_multiset(S)
+        have = self.multiplicities(a, b)
+        short = np.flatnonzero((have < counts) | (counts < 1))
+        if len(short):
+            i = int(short[0])
+            pair = (int(a[i]), int(b[i]))
+            if counts[i] < 1:
+                raise ZeroMultiplicity(f"cannot remove {int(counts[i])} copies of {pair}")
+            raise EdgeNotInGraph(f"cannot remove {int(counts[i])} copies of {pair}, have {int(have[i])}")
+        mult = self.mult.copy()
+        mult[np.searchsorted(self._pair_keys(), a * self.n + b)] -= counts
+        keep = mult > 0
+        return MultiGraph(self.n, self.u[keep], self.v[keep], mult[keep])
 
     def induced_subgraph(self, A: Iterable[int]) -> tuple["MultiGraph", dict[int, int]]:
         """Subgraph on A with vertices relabeled 0..|A|-1 (sorted order)."""
-        verts = sorted(set(int(a) for a in A))
-        for a in verts:
-            if not (0 <= a < self.n):
-                raise VertexOutOfRange(f"vertex {a}")
-        index = {v: i for i, v in enumerate(verts)}
-        mult = {}
-        for (u, v), m in self._mult.items():
-            if u in index and v in index:
-                mult[_normalize_pair(index[u], index[v])] = m
-        return MultiGraph(len(verts), mult), index
+        verts = np.unique(self._vertices(A))
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[verts] = np.arange(len(verts))
+        # pos is increasing on A, so kept pairs stay ordered with u < v
+        su, sv = pos[self.u], pos[self.v]
+        keep = (su >= 0) & (sv >= 0)
+        index = dict(zip(verts.tolist(), range(len(verts))))
+        return MultiGraph(len(verts), su[keep], sv[keep], self.mult[keep]), index
 
     # -- connectivity -----------------------------------------------------------
 
     def component_labels(self) -> np.ndarray:
         if self._components is None:
-            parent = list(range(self.n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for (u, v) in self._mult:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-            labels = np.empty(self.n, dtype=np.int64)
-            seen: dict[int, int] = {}
-            for v in range(self.n):
-                r = find(v)
-                if r not in seen:
-                    seen[r] = len(seen)
-                labels[v] = seen[r]
-            self._components = labels
+            indptr, indices, _weights = self.csr()
+            self._components = _csr_components(self.n, indptr, indices)
         return self._components
 
     def is_connected(self) -> bool:
@@ -312,40 +381,67 @@ class MultiGraph:
     # -- textual edge-list format -----------------------------------------------
 
     def to_edge_list_text(self) -> str:
-        lines = [f"{self.n} {len(self._mult)}"]
-        for u, v, m in self.edges():
-            lines.append(f"{u} {v} {m}" if m != 1 else f"{u} {v}")
-        return "\n".join(lines) + "\n"
+        """Header "n pairs", then one "u v" line per pair, "u v m" when m > 1."""
+        simple = self.mult == 1
+        line_format = "".join(map(("%d %d %d\n", "%d %d\n").__getitem__, simple.tolist()))
+        fields = np.stack([self.u, self.v, self.mult], axis=1)
+        present = np.ones(fields.shape, dtype=bool)
+        present[:, 2] = ~simple
+        body = line_format % tuple(fields[present].tolist())
+        return f"{self.n} {len(self.u)}\n" + body
 
     @classmethod
     def from_edge_list_text(cls, text: str) -> "MultiGraph":
-        rows = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
-        if not rows:
+        """Parse the edge-list format; blank lines are ignored.
+
+        A malformed file (wrong token counts, a token that is not an integer,
+        a line count that disagrees with the header) raises VertexOutOfRange.
+        """
+        lines = text.splitlines()
+        widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+        rows = np.flatnonzero(widths)
+        if not len(rows):
             raise VertexOutOfRange("empty edge-list file")
-        head = rows[0].split()
-        if len(head) != 2:
-            raise VertexOutOfRange(f"bad header {rows[0]!r}, expected 'n m'")
-        n, m = int(head[0]), int(head[1])
+        widths = widths[rows]
+        if widths[0] != 2:
+            raise VertexOutOfRange(f"bad header {lines[rows[0]].strip()!r}, expected 'n m'")
+        bad = np.flatnonzero((widths[1:] < 2) | (widths[1:] > 3))
+        bad_line = lines[rows[int(bad[0]) + 1]].strip() if len(bad) else None
+        del lines  # the token list below is the larger one; do not hold both
+        tokens = text.split()
+        n, m = _parse_integers(tokens[:2], "header").tolist()
         if len(rows) - 1 != m:
             raise VertexOutOfRange(f"header promises {m} edge lines, found {len(rows) - 1}")
-        edges = []
-        for ln in rows[1:]:
-            parts = ln.split()
-            if len(parts) == 2:
-                edges.append((int(parts[0]), int(parts[1]), 1))
-            elif len(parts) == 3:
-                edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
-            else:
-                raise VertexOutOfRange(f"bad edge line {ln!r}")
-        return cls.build(n, edges)
+        if bad_line is not None:
+            raise VertexOutOfRange(f"bad edge line {bad_line!r}")
+        values = _parse_integers(tokens[2:], "edge line")
+        del tokens
+        widths = widths[1:]
+        starts = np.cumsum(widths) - widths
+        u, v = values[starts], values[starts + 1]
+        mult = np.where(widths == 3, values[np.minimum(starts + 2, len(values) - 1)], 1)
+        return cls.from_arrays(n, u, v, mult)
 
     # -- misc ----------------------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"MultiGraph(n={self.n}, edges={len(self._mult)}, total_mult={self.num_edges})"
+        return f"MultiGraph(n={self.n}, edges={len(self.u)}, total_mult={self.num_edges})"
 
     def check_handshake(self) -> None:
         assert int(self.degrees.sum()) == 2 * self.num_edges
+
+
+def _parse_integers(tokens: list[str], where: str) -> np.ndarray:
+    """The tokens as int64 values; a token that is not an integer raises VertexOutOfRange."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for tok in tokens:
+            try:
+                np.int64(int(tok))
+            except (ValueError, OverflowError):
+                raise VertexOutOfRange(f"{where} token {tok!r} is not an integer") from None
+        raise
 
 
 def read_edge_list(path) -> MultiGraph:
@@ -359,7 +455,8 @@ def write_edge_list(G: MultiGraph, path) -> None:
 
 
 def complete_graph(n: int) -> MultiGraph:
-    return MultiGraph.build(n, [(i, j, 1) for i in range(n) for j in range(i + 1, n)])
+    iu, ju = np.triu_indices(max(int(n), 0), k=1)
+    return MultiGraph.from_arrays(n, iu, ju)
 
 
 def cycle_graph(n: int) -> MultiGraph:

@@ -18,15 +18,21 @@ from .errors import (
     IncludeHasCycle,
     PreconditionError,
     TooManyTrees,
+    VertexOutOfRange,
 )
-from .multigraph import MultiGraph, _edge_multiset, _normalize_pair
+from .multigraph import MultiGraph, _edge_multiset, _normalize_pair, components
 from .rng import UniformBuffer, stream
 
 
 class SpanningTree:
-    """A spanning tree of an n-vertex host graph as a set of (u, v, copy) edges."""
+    """A spanning tree of an n-vertex host graph as a set of (u, v, copy) edges.
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
+    The samplers and the enumerator build trees by construction and pass
+    `validate=False`, which skips the range and cycle checks (a per-tree
+    cost that dominates at small n).
+    """
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], validate: bool = True):
         self.n = int(n)
         norm = []
         for (u, v, c) in edges:
@@ -37,19 +43,13 @@ class SpanningTree:
             raise PreconditionError(
                 f"{len(self.edges)} edges cannot span {self.n} vertices"
             )
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, v, _c) in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
+        if validate:
+            ends = np.array([(u, v) for (u, v, _c) in self.edges], dtype=np.int64).reshape(-1, 2)
+            if ((ends < 0) | (ends >= self.n)).any():
+                raise VertexOutOfRange(f"tree edge outside 0..{self.n - 1}")
+            # n - 1 edges span the n vertices exactly when they close no cycle
+            if self.n > 1 and components(self.n, ends[:, 0], ends[:, 1]).max() > 0:
                 raise PreconditionError("edge set contains a cycle")
-            parent[ru] = rv
         self._adj: list[list[int]] | None = None
 
     def adjacency(self) -> list[list[int]]:
@@ -111,16 +111,21 @@ def _sampler_for(G: MultiGraph) -> _NeighborSampler:
 
 def _assign_copies(G: MultiGraph, pairs: Sequence[tuple[int, int]], rng) -> list[tuple[int, int, int]]:
     """Pick which parallel copy realizes each tree edge, uniformly at random."""
-    out = []
-    for (u, v) in pairs:
-        m = G.multiplicity(u, v)
-        c = int(rng.integers(0, m)) if m > 1 else 0
-        out.append((u, v, c))
-    return out
+    if G.is_simple:
+        return [(u, v, 0) for (u, v) in pairs]
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    mult = G.multiplicities(ends[:, 0], ends[:, 1]).tolist()
+    return [(u, v, int(rng.integers(0, m)) if m > 1 else 0) for (u, v), m in zip(pairs, mult)]
+
+
+def _check_root(G: MultiGraph, root: int) -> None:
+    if not (0 <= root < G.n):
+        raise VertexOutOfRange(f"root {root} outside 0..{G.n - 1}")
 
 
 def wilson_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
     """Exact-uniform spanning tree by loop-erased random walks."""
+    _check_root(G, root)
     if not G.is_connected():
         raise GraphDisconnected("no spanning tree in a disconnected graph")
     if G.n == 1:
@@ -141,11 +146,12 @@ def wilson_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
             in_tree[u] = True
             u = nxt[u]
     pairs = [(v, nxt[v]) for v in range(G.n) if v != root]
-    return SpanningTree(G.n, _assign_copies(G, pairs, rng))
+    return SpanningTree(G.n, _assign_copies(G, pairs, rng), validate=False)
 
 
 def aldous_broder_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
     """First-entrance random-walk sampler, kept as an independent cross-check."""
+    _check_root(G, root)
     if not G.is_connected():
         raise GraphDisconnected("no spanning tree in a disconnected graph")
     if G.n == 1:
@@ -165,7 +171,7 @@ def aldous_broder_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTre
             remaining -= 1
             pairs.append((nxt, cur))
         cur = nxt
-    return SpanningTree(G.n, _assign_copies(G, pairs, rng))
+    return SpanningTree(G.n, _assign_copies(G, pairs, rng), validate=False)
 
 
 def conditional_sample(
@@ -181,66 +187,60 @@ def conditional_sample(
     contraction.  Exclude entries follow delete() semantics: (u, v) removes
     one parallel copy, (u, v, m) removes m.
     """
-    include_pairs = list(_edge_multiset(include).keys())
-    parent = list(range(G.n))
+    inc_u, inc_v, _counts = _edge_multiset(include)
+    include_pairs = list(zip(inc_u.tolist(), inc_v.tolist()))
+    # pairs are checked in order: the first absent or cycle-closing one raises
+    absent = np.flatnonzero(G.multiplicities(inc_u, inc_v) == 0)
+    first_absent = int(absent[0]) if len(absent) else len(include_pairs)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def forest_vertices(k: int) -> np.ndarray:
+        return components(G.n, inc_u[:k], inc_v[:k])
 
-    for (u, v) in include_pairs:
-        if G.multiplicity(u, v) == 0:
-            raise ConditioningDisconnects(f"include edge ({u},{v}) not in graph")
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise IncludeHasCycle(f"include set closes a cycle at ({u},{v})")
-        parent[max(ru, rv)] = min(ru, rv)
+    vmap = forest_vertices(first_absent)
+    n_q = int(vmap.max(initial=-1)) + 1
+    if n_q != G.n - first_absent:
+        k = next(k for k in range(2, first_absent + 1)
+                 if int(forest_vertices(k).max()) + 1 != G.n - k)
+        u, v = include_pairs[k - 1]
+        raise IncludeHasCycle(f"include set closes a cycle at ({u},{v})")
+    if len(absent):
+        u, v = include_pairs[first_absent]
+        raise ConditioningDisconnects(f"include edge ({u},{v}) not in graph")
 
     try:
         stripped = G.delete(exclude)
     except Exception as exc:  # noqa: BLE001 - surface as a conditioning failure
         raise ConditioningDisconnects(str(exc)) from exc
-    for (u, v) in include_pairs:
-        if stripped.multiplicity(u, v) == 0:
-            raise ConditioningDisconnects(
-                f"every copy of include edge ({u},{v}) is excluded"
-            )
+    gone = np.flatnonzero(stripped.multiplicities(inc_u, inc_v) == 0)
+    if len(gone):
+        u, v = include_pairs[int(gone[0])]
+        raise ConditioningDisconnects(
+            f"every copy of include edge ({u},{v}) is excluded"
+        )
 
-    roots: dict[int, int] = {}
-    vmap = np.empty(G.n, dtype=np.int64)
-    for v in range(G.n):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        vmap[v] = roots[r]
-    n_q = len(roots)
-
-    # quotient multigraph plus a lift table from quotient pairs back to host pairs
-    qmult: dict[tuple[int, int], int] = {}
-    lift: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-    for (u, v, m) in stripped.edges():
-        a, b = int(vmap[u]), int(vmap[v])
-        if a == b:
-            continue
-        key = _normalize_pair(a, b)
-        qmult[key] = qmult.get(key, 0) + m
-        lift.setdefault(key, []).append(((u, v), m))
-    quotient = MultiGraph(n_q, qmult)
+    # quotient multigraph; the host pairs over one quotient pair, in host
+    # order, lift a quotient edge copy back to a host edge copy
+    qu, qv = vmap[stripped.u], vmap[stripped.v]
+    cross = np.flatnonzero(qu != qv)
+    qa, qb = np.minimum(qu[cross], qv[cross]), np.maximum(qu[cross], qv[cross])
+    quotient = MultiGraph.from_arrays(n_q, qa, qb, stripped.mult[cross])
     if not quotient.is_connected():
         raise ConditioningDisconnects("conditioning leaves no spanning tree")
+    lift: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    host = (stripped.u[cross], stripped.v[cross], stripped.mult[cross])
+    for a, b, u, v, m in zip(qa.tolist(), qb.tolist(), *(arr.tolist() for arr in host)):
+        lift.setdefault((a, b), []).append((u, v, m))
 
     qtree = wilson_sample(quotient, seed)
     edges: list[tuple[int, int, int]] = [(u, v, 0) for (u, v) in include_pairs]
     for (a, b, c) in qtree.edges:
         offset = c
-        for (pair, m) in lift[(a, b)]:
+        for (u, v, m) in lift[(a, b)]:
             if offset < m:
-                edges.append((pair[0], pair[1], offset))
+                edges.append((u, v, offset))
                 break
             offset -= m
-    return SpanningTree(G.n, edges)
+    return SpanningTree(G.n, edges, validate=False)
 
 
 def enumerate_spanning_trees(G: MultiGraph, max_trees: int = 10**6) -> list[SpanningTree]:
@@ -284,7 +284,7 @@ def enumerate_spanning_trees(G: MultiGraph, max_trees: int = 10**6) -> list[Span
 
     def rec(labels_alive: frozenset, edges: list, chosen: list) -> None:
         if len(labels_alive) == 1:
-            trees.append(SpanningTree(G.n, list(chosen)))
+            trees.append(SpanningTree(G.n, list(chosen), validate=False))
             return
         a0, b0, eid0 = edges[0]
         rest = edges[1:]

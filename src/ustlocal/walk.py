@@ -89,30 +89,33 @@ def exact_cheeger(G: MultiGraph) -> float:
     return float(best)
 
 
+def sweep_cuts(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The Fiedler order of G and the cut of each of its proper prefixes.
+
+    cuts[k] = e(S, V\\S) for S = order[:k + 1], k = 0..n-2, counted with
+    multiplicity.  An edge becomes internal to the prefix at the later of
+    its endpoints' ranks, so every cut follows from one cumulative sum.
+    """
+    n = G.n
+    order = np.argsort(-_fiedler_vector(G), kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    joined = np.bincount(np.maximum(rank[G.u], rank[G.v]), weights=G.mult, minlength=n)
+    internal = np.cumsum(joined.astype(np.int64))
+    cuts = np.cumsum(G.degrees[order]) - 2 * internal
+    return order, cuts[: n - 1]
+
+
 def sweep_cut_cheeger(G: MultiGraph) -> float:
     """Upper bound on Phi_* from prefixes of the Fiedler order."""
-    order = np.argsort(-_fiedler_vector(G), kind="stable")
+    order, cuts = sweep_cuts(G)
     deg = G.degrees
-    total_vol = int(deg.sum())
-    pos = np.empty(G.n, dtype=np.int64)
-    pos[order] = np.arange(G.n)
-    nbrs, mults = G.adjacency_lists()
-    in_s = np.zeros(G.n, dtype=bool)
-    cut = 0
-    vol = 0
-    best = float("inf")
-    for k in range(G.n - 1):
-        v = int(order[k])
-        into_s = int(mults[v][in_s[nbrs[v]]].sum()) if len(nbrs[v]) else 0
-        in_s[v] = True
-        cut += deg[v] - 2 * into_s
-        vol += deg[v]
-        side_vol = min(vol, total_vol - vol)
-        if side_vol > 0:
-            ratio = cut / (2.0 * side_vol)
-            if ratio < best:
-                best = ratio
-    return float(best)
+    vol = np.cumsum(deg[order])[: G.n - 1]
+    side_vol = np.minimum(vol, int(deg.sum()) - vol)
+    has_side = side_vol > 0
+    if not has_side.any():
+        return float("inf")
+    return float((cuts[has_side] / (2.0 * side_vol[has_side])).min())
 
 
 def spectral_profile(G: MultiGraph, exact_cheeger_limit: int = EXACT_CHEEGER_LIMIT) -> WalkProfile:

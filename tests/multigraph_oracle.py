@@ -1,0 +1,140 @@
+"""Reference multigraph kept as a plain (u, v) -> multiplicity dict.
+
+A direct, loop-by-loop statement of what `ustlocal.multigraph.MultiGraph`
+computes, used as the oracle of the property tests.  Keep it simple rather
+than fast.
+"""
+import numpy as np
+
+from ustlocal.errors import EdgeNotInGraph, LoopEdge, VertexOutOfRange, ZeroMultiplicity
+
+
+def _pair(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _counts(entries):
+    out = {}
+    for entry in entries:
+        u, v, m = entry if len(entry) == 3 else (*entry, 1)
+        key = _pair(int(u), int(v))
+        out[key] = out.get(key, 0) + int(m)
+    return out
+
+
+class DictGraph:
+    def __init__(self, n, mult):
+        self.n = n
+        self.mult = dict(sorted(mult.items()))
+
+    @classmethod
+    def build(cls, n, entries):
+        if n < 0:
+            raise VertexOutOfRange(n)
+        mult = {}
+        for entry in entries:
+            u, v, m = entry if len(entry) == 3 else (*entry, 1)
+            if u == v:
+                raise LoopEdge(u)
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRange((u, v))
+            if m < 1:
+                raise ZeroMultiplicity(m)
+            mult[_pair(u, v)] = mult.get(_pair(u, v), 0) + m
+        return cls(n, mult)
+
+    def edges(self):
+        return [(u, v, m) for (u, v), m in self.mult.items()]
+
+    def multiplicity(self, u, v):
+        return self.mult.get(_pair(u, v), 0)
+
+    def degrees(self):
+        deg = [0] * self.n
+        for (u, v), m in self.mult.items():
+            deg[u] += m
+            deg[v] += m
+        return deg
+
+    def adjacency_lists(self):
+        nbrs = [[] for _ in range(self.n)]
+        mults = [[] for _ in range(self.n)]
+        for (u, v), m in self.mult.items():
+            nbrs[u].append(v)
+            mults[u].append(m)
+            nbrs[v].append(u)
+            mults[v].append(m)
+        return nbrs, mults
+
+    def pair_count(self, A, B):
+        A, B = set(A), set(B)
+        if any(not (0 <= x < self.n) for x in A | B):
+            raise VertexOutOfRange("vertex")
+        total = 0
+        for (u, v), m in self.mult.items():
+            total += m * ((u in A and v in B) + (v in A and u in B))
+        return total
+
+    def _roots(self, pairs):
+        parent = list(range(self.n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, v in pairs:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+        labels, seen = [], {}
+        for v in range(self.n):
+            labels.append(seen.setdefault(find(v), len(seen)))
+        return labels
+
+    def component_labels(self):
+        return self._roots(self.mult)
+
+    def contract(self, S):
+        pairs = list(_counts(S))
+        for pair in pairs:
+            if self.multiplicity(*pair) == 0:
+                raise EdgeNotInGraph(pair)
+        vmap = self._roots(pairs)
+        mult = {}
+        for (u, v), m in self.mult.items():
+            if vmap[u] != vmap[v]:
+                key = _pair(vmap[u], vmap[v])
+                mult[key] = mult.get(key, 0) + m
+        return DictGraph(max(vmap, default=-1) + 1, mult), vmap
+
+    def delete(self, S):
+        mult = dict(self.mult)
+        for pair, m in _counts(S).items():
+            if mult.get(pair, 0) < m:
+                raise EdgeNotInGraph(pair)
+            mult[pair] -= m
+            if mult[pair] == 0:
+                del mult[pair]
+        return DictGraph(self.n, mult)
+
+    def induced_subgraph(self, A):
+        verts = sorted(set(A))
+        if any(not (0 <= a < self.n) for a in verts):
+            raise VertexOutOfRange("vertex")
+        index = {v: i for i, v in enumerate(verts)}
+        mult = {(index[u], index[v]): m for (u, v), m in self.mult.items()
+                if u in index and v in index}
+        return DictGraph(len(verts), mult), index
+
+    def to_edge_list_text(self):
+        lines = [f"{self.n} {len(self.mult)}"]
+        lines += [f"{u} {v} {m}" if m != 1 else f"{u} {v}" for (u, v), m in self.mult.items()]
+        return "\n".join(lines) + "\n"
+
+
+def same_graph(G, D) -> bool:
+    """Whether the array graph G and the oracle D hold the same multigraph."""
+    return G.n == D.n and list(G.edges()) == D.edges() and all(
+        np.array_equal(a, b) for a, b in zip(G.adjacency_lists()[0], D.adjacency_lists()[0])
+    )

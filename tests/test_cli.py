@@ -213,3 +213,18 @@ def test_freq_consumes_decomposition_file(workdir):
                   "--alpha", "0.5", "--eps", "0.1")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["value"] == pytest.approx(math.exp(-1), abs=1e-12)
+
+
+@pytest.mark.parametrize("text", ["2 1\n0 x\n", "n m\n0 1\n"])
+def test_non_integer_edge_list_exit_code(workdir, capsys, text):
+    bad = workdir / "bad.txt"
+    bad.write_text(text)
+    assert main(["resistance", "--graph", str(bad), "--u", "0", "--v", "1"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "VertexOutOfRange"
+
+
+def test_negative_gen_size_exit_code(workdir, capsys):
+    code = main(["gen", "--graphon", str(workdir / "const1.json"), "--n", "-3",
+                 "--seed", "1", "--out", str(workdir / "neg.txt")])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "VertexOutOfRange"

@@ -3,6 +3,7 @@ import pytest
 
 from ustlocal.decompose import (
     ExpanderDecomposition,
+    _first_violating_prefix,
     big_parts,
     expander_decompose,
     good_vertices,
@@ -13,6 +14,7 @@ from ustlocal.decompose import (
 from ustlocal.errors import ParameterOutOfRange, PartitionMismatch
 from ustlocal.graphon import StepGraphon, sample_w_random_graph
 from ustlocal.multigraph import MultiGraph, complete_graph
+from ustlocal.walk import _fiedler_vector, sweep_cuts
 
 from conftest import random_connected_graph
 
@@ -208,3 +210,56 @@ def test_decompose_requires_simple_graph():
     G = MultiGraph.build(3, [(0, 1, 2), (1, 2, 1), (0, 2, 1)])
     with pytest.raises(NotSimple):
         expander_decompose(G, gamma=0.1, eta=0.1, eps=0.1)
+
+
+def _first_violating_prefix_by_pair_count(sub, gamma):
+    """Reference for the cleaning sweep: one pair count per Fiedler prefix."""
+    order = np.argsort(-_fiedler_vector(sub), kind="stable")
+    candidates = [order[:k] for k in range(1, sub.n)] + [order[::-1][:k] for k in range(1, sub.n)]
+    for cand in candidates:
+        if len(cand) > 0.6 * sub.n:
+            continue
+        others = np.setdiff1d(np.arange(sub.n), cand)
+        if sub.pair_count(cand.tolist(), others.tolist()) < gamma * len(cand) * len(others):
+            return cand
+    return None
+
+
+def test_sweep_cuts_match_pair_counts(rng):
+    for _ in range(10):
+        n = int(rng.integers(3, 12))
+        G = random_connected_graph(rng, n, 0.5, max_mult=3)
+        order, cuts = sweep_cuts(G)
+        assert np.array_equal(order, np.argsort(-_fiedler_vector(G), kind="stable"))
+        for k in range(n - 1):
+            assert cuts[k] == G.pair_count(order[: k + 1], order[k + 1:])
+
+
+def test_cleaning_sweep_matches_pair_count_scan(rng):
+    found = 0
+    for _ in range(30):
+        n = int(rng.integers(3, 14))
+        sub = random_connected_graph(rng, n, float(rng.uniform(0.2, 0.9)))
+        for gamma in (0.2, 0.5, 0.8):
+            got = _first_violating_prefix(sub, gamma)
+            ref = _first_violating_prefix_by_pair_count(sub, gamma)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert got.tolist() == ref.tolist()
+                found += 1
+    assert found > 0  # the scan reaches violating sets, not only the no-violation case
+
+
+def test_cleaning_sweep_reaches_reversed_prefixes():
+    # cliques {0, 1}, {2..8} and {9..12} with sparse cross edges: the 2-clique
+    # sits at the negative end of the Fiedler order, and no forward prefix
+    # violates, so only the reversed scan finds it
+    blocks = [range(0, 2), range(2, 9), range(9, 13)]
+    edges = [(a, b) for blk in blocks for a in blk for b in blk if a < b]
+    edges += [(0, 6), (0, 8), (1, 3), (1, 8), (2, 9), (2, 12), (3, 9), (3, 11),
+              (7, 10), (7, 11), (8, 11), (8, 12)]
+    sub = MultiGraph.build(13, edges)
+    order, _cuts = sweep_cuts(sub)
+    got = _first_violating_prefix(sub, 0.2)
+    assert got.tolist() == order[::-1][:2].tolist() == [0, 1]
+    assert got.tolist() == _first_violating_prefix_by_pair_count(sub, 0.2).tolist()

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from ustlocal.electric import (
+    LaplacianSystem,
     edge_ust_probability,
     effective_resistance,
     kostochka_upper_check,
@@ -15,6 +16,7 @@ from ustlocal.errors import (
     NotSimple,
     ParameterOutOfRange,
     SameVertex,
+    VertexOutOfRange,
 )
 from ustlocal.graphon import constant_graphon
 from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, path_graph
@@ -161,3 +163,9 @@ def test_resistance_below_path_length(rng):
     # series bound: R_eff <= graph distance
     G = cycle_graph(8)
     assert effective_resistance(G, 0, 4) <= 4.0 + 1e-12
+
+
+@pytest.mark.parametrize("u,v", [(-1, 2), (2, -1), (0, 4), (4, 0)])
+def test_laplacian_resistance_vertex_range(u, v):
+    with pytest.raises(VertexOutOfRange):
+        LaplacianSystem(path_graph(4)).resistance(u, v)

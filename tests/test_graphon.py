@@ -8,6 +8,7 @@ from ustlocal.errors import (
     EntryOutOfRange,
     MeasuresDontSumToOne,
     TooManyBlocks,
+    VertexOutOfRange,
 )
 from ustlocal.graphon import (
     StepGraphon,
@@ -190,3 +191,8 @@ def test_json_roundtrip(rng):
     h = StepGraphon.from_json(g.to_json())
     assert np.allclose(g.mu, h.mu)
     assert np.allclose(g.W, h.W)
+
+
+def test_w_random_graph_negative_size():
+    with pytest.raises(VertexOutOfRange):
+        sample_w_random_graph(constant_graphon(0.5), -3, seed=1)

@@ -235,3 +235,43 @@ def test_edge_list_rejects_loops():
 def test_edge_list_rejects_bad_index():
     with pytest.raises(VertexOutOfRange):
         MultiGraph.from_edge_list_text("2 1\n0 5\n")
+
+
+@pytest.mark.parametrize("text", [
+    "2 1\n0 x\n",      # non-integer vertex token
+    "2 1\n0 1 1.5\n",  # non-integer multiplicity
+    "n m\n0 1\n",      # header with no integers
+    "2 one\n0 1\n",    # header edge count not an integer
+])
+def test_edge_list_rejects_non_integer_tokens(text):
+    with pytest.raises(VertexOutOfRange):
+        MultiGraph.from_edge_list_text(text)
+
+
+def test_edge_list_errors_in_line_order():
+    with pytest.raises(LoopEdge):
+        MultiGraph.from_edge_list_text("3 2\n1 1\n0 5\n")
+    with pytest.raises(VertexOutOfRange):
+        MultiGraph.from_edge_list_text("3 2\n0 5\n1 1\n")
+    with pytest.raises(ZeroMultiplicity):
+        MultiGraph.from_edge_list_text("3 2\n0 1 0\n1 1\n")
+
+
+def test_from_arrays_matches_build():
+    G = MultiGraph.from_arrays(4, [2, 0, 1, 3], [0, 1, 0, 1], [1, 2, 3, 1])
+    H = MultiGraph.build(4, [(2, 0, 1), (0, 1, 2), (1, 0, 3), (3, 1, 1)])
+    assert list(G.edges()) == list(H.edges()) == [(0, 1, 5), (0, 2, 1), (1, 3, 1)]
+
+
+def test_edge_arrays_are_read_only():
+    G = complete_graph(3)
+    with pytest.raises(ValueError):
+        G.mult[0] = 2
+    with pytest.raises(ValueError):
+        G.adjacency_lists()[0][0][0] = 2
+
+
+@pytest.mark.parametrize("text", ["3 2\n0\n1 2\n", "3 2\n0 1 1 1\n1 2\n", "3 2\n0 1\n\n"])
+def test_edge_list_rejects_bad_edge_lines(text):
+    with pytest.raises(VertexOutOfRange):
+        MultiGraph.from_edge_list_text(text)

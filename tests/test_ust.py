@@ -11,10 +11,13 @@ from ustlocal.errors import (
     ConditioningDisconnects,
     GraphDisconnected,
     IncludeHasCycle,
+    PreconditionError,
     TooManyTrees,
+    VertexOutOfRange,
 )
 from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, path_graph
 from ustlocal.ust import (
+    SpanningTree,
     aldous_broder_sample,
     conditional_sample,
     enumerate_spanning_trees,
@@ -196,3 +199,28 @@ def test_conditional_contradictory_exclusion():
     H = MultiGraph.build(3, [(0, 1, 2), (1, 2, 1), (0, 2, 1)])
     t = conditional_sample(H, include=[(0, 1)], exclude=[(0, 1)], seed=1)
     assert (0, 1) in t.edge_pairs()
+
+
+@pytest.mark.parametrize("sampler", [wilson_sample, aldous_broder_sample])
+@pytest.mark.parametrize("root", [-1, 5, 7])
+def test_sampler_root_out_of_range(sampler, root):
+    with pytest.raises(VertexOutOfRange):
+        sampler(cycle_graph(5), seed=1, root=root)
+
+
+def test_conditional_include_cycle_reported_before_later_absent_edge():
+    G = complete_graph(4)
+    with pytest.raises(IncludeHasCycle):
+        conditional_sample(G, [(0, 1), (1, 2), (0, 2), (0, 0)], [], seed=1)
+    with pytest.raises(ConditioningDisconnects):
+        conditional_sample(G, [(0, 1), (0, 0), (1, 2), (0, 2)], [], seed=1)
+
+
+def test_spanning_tree_rejects_cycles_and_outside_vertices():
+    with pytest.raises(PreconditionError):
+        SpanningTree(3, [(0, 1, 0), (1, 0, 1)])  # two copies of one pair
+    with pytest.raises(PreconditionError):
+        SpanningTree(4, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+    with pytest.raises(VertexOutOfRange):
+        SpanningTree(3, [(0, 1, 0), (1, 3, 0)])
+    assert SpanningTree(4, [(2, 3, 0), (0, 1, 0), (1, 2, 0)]).edge_pairs() == [(0, 1), (1, 2), (2, 3)]
