@@ -28,35 +28,49 @@ def _normalize_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _entry_arrays(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v) pairs or (u, v, mult) triples as three int64 arrays, in input order."""
-    us: list[int] = []
-    vs: list[int] = []
-    ms: list[int] = []
+def _edge_multiset(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accumulate (u, v) pairs or (u, v, mult) triples into normalized pairs with summed counts.
+
+    Returns the arrays a <= b and count, pairs in order of first appearance.
+    """
+    out: dict[tuple[int, int], int] = {}
     for entry in entries:
         if len(entry) == 2:
             u, v = entry
             m = 1
         else:
             u, v, m = entry
-        us.append(int(u))
-        vs.append(int(v))
-        ms.append(int(m))
-    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
-            np.array(ms, dtype=np.int64))
+        key = _normalize_pair(int(u), int(v))
+        out[key] = out.get(key, 0) + int(m)
+    pairs = np.array(list(out), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1], np.array(list(out.values()), dtype=np.int64)
 
 
-def _edge_multiset(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized pairs (a <= b) of the entries with summed counts.
+def forest_roots(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Join the pairs in order while they form a forest on 0..n-1 (union-find).
 
-    Pairs come in order of first appearance.
+    Returns each vertex's root, the smallest vertex of its tree, and the
+    number of pairs joined: the index of the first pair whose endpoints are
+    already connected, or the number of pairs when none is.  Meant for
+    small edge sets such as a tree's n - 1 edges; `components` serves whole
+    graphs.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for u, v, m in zip(*(arr.tolist() for arr in _entry_arrays(entries))):
-        key = _normalize_pair(u, v)
-        counts[key] = counts.get(key, 0) + m
-    pairs = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1], np.array(list(counts.values()), dtype=np.int64)
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = 0
+    for (u, v) in pairs:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            break
+        parent[max(ru, rv)] = min(ru, rv)
+        joined += 1
+    return [find(x) for x in range(n)], joined
 
 
 def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -163,7 +177,9 @@ class MultiGraph:
     @classmethod
     def build(cls, n: int, edge_list: Iterable[Sequence[int]]) -> "MultiGraph":
         """Build from (u, v) or (u, v, multiplicity) entries; parallel entries accumulate."""
-        return cls.from_arrays(n, *_entry_arrays(edge_list))
+        rows = [entry if len(entry) == 3 else (*entry, 1) for entry in edge_list]
+        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        return cls.from_arrays(n, table[:, 0], table[:, 1], table[:, 2])
 
     # -- basic accessors --------------------------------------------------------
 

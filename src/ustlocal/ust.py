@@ -20,36 +20,29 @@ from .errors import (
     TooManyTrees,
     VertexOutOfRange,
 )
-from .multigraph import MultiGraph, _edge_multiset, _normalize_pair, components
+from .multigraph import MultiGraph, _edge_multiset, _normalize_pair, forest_roots
 from .rng import UniformBuffer, stream
 
 
 class SpanningTree:
-    """A spanning tree of an n-vertex host graph as a set of (u, v, copy) edges.
+    """A spanning tree of an n-vertex host graph as a set of (u, v, copy) edges."""
 
-    The samplers and the enumerator build trees by construction and pass
-    `validate=False`, which skips the range and cycle checks (a per-tree
-    cost that dominates at small n).
-    """
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], validate: bool = True):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         self.n = int(n)
         norm = []
         for (u, v, c) in edges:
             a, b = _normalize_pair(int(u), int(v))
+            if a < 0 or b >= self.n:
+                raise VertexOutOfRange(f"tree edge ({a},{b}) outside 0..{self.n - 1}")
             norm.append((a, b, int(c)))
         self.edges = tuple(sorted(norm))
         if len(self.edges) != self.n - 1:
             raise PreconditionError(
                 f"{len(self.edges)} edges cannot span {self.n} vertices"
             )
-        if validate:
-            ends = np.array([(u, v) for (u, v, _c) in self.edges], dtype=np.int64).reshape(-1, 2)
-            if ((ends < 0) | (ends >= self.n)).any():
-                raise VertexOutOfRange(f"tree edge outside 0..{self.n - 1}")
-            # n - 1 edges span the n vertices exactly when they close no cycle
-            if self.n > 1 and components(self.n, ends[:, 0], ends[:, 1]).max() > 0:
-                raise PreconditionError("edge set contains a cycle")
+        _roots, joined = forest_roots(self.n, ((u, v) for (u, v, _c) in self.edges))
+        if joined < len(self.edges):
+            raise PreconditionError("edge set contains a cycle")
         self._adj: list[list[int]] | None = None
 
     def adjacency(self) -> list[list[int]]:
@@ -146,7 +139,7 @@ def wilson_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
             in_tree[u] = True
             u = nxt[u]
     pairs = [(v, nxt[v]) for v in range(G.n) if v != root]
-    return SpanningTree(G.n, _assign_copies(G, pairs, rng), validate=False)
+    return SpanningTree(G.n, _assign_copies(G, pairs, rng))
 
 
 def aldous_broder_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
@@ -171,7 +164,7 @@ def aldous_broder_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTre
             remaining -= 1
             pairs.append((nxt, cur))
         cur = nxt
-    return SpanningTree(G.n, _assign_copies(G, pairs, rng), validate=False)
+    return SpanningTree(G.n, _assign_copies(G, pairs, rng))
 
 
 def conditional_sample(
@@ -192,20 +185,16 @@ def conditional_sample(
     # pairs are checked in order: the first absent or cycle-closing one raises
     absent = np.flatnonzero(G.multiplicities(inc_u, inc_v) == 0)
     first_absent = int(absent[0]) if len(absent) else len(include_pairs)
-
-    def forest_vertices(k: int) -> np.ndarray:
-        return components(G.n, inc_u[:k], inc_v[:k])
-
-    vmap = forest_vertices(first_absent)
-    n_q = int(vmap.max(initial=-1)) + 1
-    if n_q != G.n - first_absent:
-        k = next(k for k in range(2, first_absent + 1)
-                 if int(forest_vertices(k).max()) + 1 != G.n - k)
-        u, v = include_pairs[k - 1]
+    roots, joined = forest_roots(G.n, include_pairs[:first_absent])
+    if joined < first_absent:
+        u, v = include_pairs[joined]
         raise IncludeHasCycle(f"include set closes a cycle at ({u},{v})")
     if len(absent):
         u, v = include_pairs[first_absent]
         raise ConditioningDisconnects(f"include edge ({u},{v}) not in graph")
+    # roots are smallest vertices, so their ranks number the quotient's vertices
+    tree_roots, vmap = np.unique(np.array(roots, dtype=np.int64), return_inverse=True)
+    n_q = len(tree_roots)
 
     try:
         stripped = G.delete(exclude)
@@ -240,7 +229,7 @@ def conditional_sample(
                 edges.append((u, v, offset))
                 break
             offset -= m
-    return SpanningTree(G.n, edges, validate=False)
+    return SpanningTree(G.n, edges)
 
 
 def enumerate_spanning_trees(G: MultiGraph, max_trees: int = 10**6) -> list[SpanningTree]:
@@ -284,7 +273,7 @@ def enumerate_spanning_trees(G: MultiGraph, max_trees: int = 10**6) -> list[Span
 
     def rec(labels_alive: frozenset, edges: list, chosen: list) -> None:
         if len(labels_alive) == 1:
-            trees.append(SpanningTree(G.n, list(chosen), validate=False))
+            trees.append(SpanningTree(G.n, list(chosen)))
             return
         a0, b0, eid0 = edges[0]
         rest = edges[1:]

@@ -8,7 +8,7 @@ from ustlocal.errors import (
     VertexOutOfRange,
     ZeroMultiplicity,
 )
-from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, path_graph
+from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, forest_roots, path_graph
 
 from conftest import random_connected_graph
 
@@ -275,3 +275,12 @@ def test_edge_arrays_are_read_only():
 def test_edge_list_rejects_bad_edge_lines(text):
     with pytest.raises(VertexOutOfRange):
         MultiGraph.from_edge_list_text(text)
+
+
+def test_forest_roots_stops_at_first_cycle():
+    roots, joined = forest_roots(6, [(3, 4), (1, 3), (4, 5)])
+    assert (roots, joined) == ([0, 1, 2, 1, 1, 1], 3)
+    roots, joined = forest_roots(4, [(2, 3), (0, 1), (3, 2), (1, 2)])
+    assert joined == 2  # (3, 2) repeats the first pair
+    assert roots == [0, 0, 2, 2]
+    assert forest_roots(3, [(0, 0)])[1] == 0  # a loop closes a cycle at once

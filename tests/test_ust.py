@@ -214,6 +214,13 @@ def test_conditional_include_cycle_reported_before_later_absent_edge():
         conditional_sample(G, [(0, 1), (1, 2), (0, 2), (0, 0)], [], seed=1)
     with pytest.raises(ConditioningDisconnects):
         conditional_sample(G, [(0, 1), (0, 0), (1, 2), (0, 2)], [], seed=1)
+    # a pair that is absent and would close a cycle is reported as absent
+    P = path_graph(3)
+    with pytest.raises(ConditioningDisconnects):
+        conditional_sample(P, [(0, 1), (1, 2), (2, 0)], [], seed=1)
+    # so is a pair with a vertex outside 0..n-1, even after a cycle-free prefix
+    with pytest.raises(ConditioningDisconnects):
+        conditional_sample(G, [(0, 1), (1, 9)], [], seed=1)
 
 
 def test_spanning_tree_rejects_cycles_and_outside_vertices():
