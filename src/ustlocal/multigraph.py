@@ -31,7 +31,7 @@ def _normalize_pair(u: int, v: int) -> tuple[int, int]:
 def _edge_multiset(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate (u, v) pairs or (u, v, mult) triples into normalized pairs with summed counts.
 
-    Returns the arrays a <= b and count, pairs in order of first appearance.
+    Returns the arrays a, b (a <= b) and count, pairs in order of first appearance.
     """
     out: dict[tuple[int, int], int] = {}
     for entry in entries:
