@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterOutOfRange
 from .graphon import StepGraphon
 from .rng import stream
-from .trees import RootedTree
+from .trees import CodeInterner, RootedTree
 
 
 def _offspring_rates(g: StepGraphon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,34 +73,6 @@ def sample_kappa(g: StepGraphon, r: int, seed: int) -> RootedTree:
     return RootedTree([p.parent for p in particles])
 
 
-class _CodeInterner:
-    """Canonical codes as interned integers keyed by the sorted child multiset."""
-
-    def __init__(self):
-        self.ids: dict[tuple[int, ...], int] = {(): 0}
-        self.children: list[tuple[int, ...]] = [()]
-        self.sizes: list[int] = [1]
-
-    def intern(self, child_ids: tuple[int, ...]) -> int:
-        got = self.ids.get(child_ids)
-        if got is not None:
-            return got
-        new = len(self.children)
-        self.ids[child_ids] = new
-        self.children.append(child_ids)
-        self.sizes.append(1 + sum(self.sizes[c] for c in child_ids))
-        return new
-
-    def to_code(self, cid: int, memo: dict[int, str]) -> str:
-        got = memo.get(cid)
-        if got is not None:
-            return got
-        kids = sorted(self.to_code(c, memo) for c in self.children[cid])
-        code = f"({self.sizes[cid]}:{''.join(kids)})"
-        memo[cid] = code
-        return code
-
-
 def root_ball_distribution_mc(
     g: StepGraphon, r: int, samples: int, seed: int
 ) -> dict[str, tuple[float, float]]:
@@ -147,7 +119,7 @@ def root_ball_distribution_mc(
         gen_parents.append(child_parent)
         gen_anc.append(anc_positions)
 
-    interner = _CodeInterner()
+    interner = CodeInterner()
     codes = np.zeros(len(gen_blocks[r]), dtype=np.int64)  # depth-r particles are leaves
     for depth in range(r - 1, -1, -1):
         child_parent = gen_parents[depth + 1]
@@ -164,11 +136,10 @@ def root_ball_distribution_mc(
         codes = new_codes
 
     tally = Counter(codes.tolist())
-    memo: dict[int, str] = {}
     out = {}
     for cid, cnt in sorted(tally.items()):
         p = cnt / samples
-        out[interner.to_code(cid, memo)] = (p, math.sqrt(p * (1.0 - p) / samples))
+        out[interner.to_code(cid)] = (p, math.sqrt(p * (1.0 - p) / samples))
     return out
 
 

@@ -3,7 +3,10 @@
 Subcommands: gen | ust | freq | branching | decompose | count-trees |
 resistance | walk | extremal.  A config file (INI key=value sections, one
 section per subcommand) supplies defaults; explicit flags win.  Identical
-(config, seed) pairs produce byte-identical output regardless of --threads.
+(config, seed) pairs produce byte-identical output.  `ust` runs its samples
+one after another in index order; --threads is accepted for old configs and
+command lines but changes neither the output nor the speed (Wilson's walk
+and the census hold the GIL, so a thread pool only added overhead).
 
 Exit codes: 0 ok, 2 config, 3 precondition, 4 numeric, 5 budget.
 """
@@ -13,12 +16,11 @@ import argparse
 import configparser
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import branching, decompose, electric, extremal, freq, trees, ust, walk
-from .errors import ConfigParse, UstlocalError
+from .errors import ConfigParse, ParameterOutOfRange, UstlocalError
 from .graphon import load_graphon, sample_w_random_graph
 from .multigraph import read_edge_list, write_edge_list
 from .trees import RootedTree
@@ -73,6 +75,8 @@ def _cmd_gen(args) -> None:
 
 def _cmd_ust(args) -> None:
     _require(args, "graph", "samples", "seed")
+    if args.samples < 1:
+        raise ParameterOutOfRange("samples must be >= 1")
     G = read_edge_list(args.graph)
     radius = args.radius if args.radius is not None else 1
     sampler = ust.aldous_broder_sample if args.sampler == "aldous-broder" else ust.wilson_sample
@@ -89,21 +93,13 @@ def _cmd_ust(args) -> None:
         }
         return _dump(record)
 
-    lines = _fan_out(one, args.samples, args.threads)
+    lines = [one(i) for i in range(args.samples)]
     _emit("\n".join(lines) + "\n", args.out)
 
 
 def _derive(seed: int, index: int) -> int:
     # replicate streams must not collide across seeds or indices
     return (int(seed) << 32) + index
-
-
-def _fan_out(fn, count: int, threads: int | None) -> list[str]:
-    workers = max(1, int(threads or 1))
-    if workers == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _cmd_freq(args) -> None:
@@ -205,11 +201,9 @@ _COMMANDS = {
     "extremal": _cmd_extremal,
 }
 
-_INT_KEYS = {"samples", "seed", "radius", "n", "depth", "u", "v", "threads", "k_max"}
-_FLOAT_KEYS = {"gamma", "eta", "eps", "alpha", "eps_mix"}
 
-
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="ustlocal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -235,40 +229,50 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-mix", dest="eps_mix", type=float, default=0.25)
         p.add_argument("--k-max", dest="k_max", type=int, default=8)
         p.add_argument("--sampler", choices=("wilson", "aldous-broder"), default="wilson")
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args) -> None:
-    if args.config is None:
-        return
-    parser = configparser.ConfigParser()
-    read = parser.read(args.config)
-    if not read:
-        raise ConfigParse(f"cannot read config file {args.config}")
-    if not parser.has_section(args.command):
-        return
-    for key, raw in parser.items(args.command):
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigParse(f"unknown config key '{key}' in section [{args.command}]")
-        if getattr(args, attr) is not None and f"--{key}" in sys.argv:
-            continue  # explicit flag wins
+def _config_defaults(path: str, command: str, sub: argparse.ArgumentParser) -> dict:
+    """The [command] section of an INI file, typed by the subcommand's options."""
+    config = configparser.ConfigParser()
+    try:
+        if not config.read(path):
+            raise ConfigParse(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise ConfigParse(f"malformed config file {path}: {exc}") from exc
+    if not config.has_section(command):
+        return {}
+    # argparse has no public accessor for a parser's options
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    defaults = {}
+    for key, raw in config.items(command):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigParse(f"unknown config key '{key}' in section [{command}]")
         try:
-            if attr in _INT_KEYS:
-                setattr(args, attr, int(raw))
-            elif attr in _FLOAT_KEYS:
-                setattr(args, attr, float(raw))
-            else:
-                setattr(args, attr, raw)
+            value = action.type(raw) if action.type else raw
         except ValueError as exc:
             raise ConfigParse(f"bad value for '{key}': {raw!r}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ConfigParse(f"bad value for '{key}': {raw!r}")
+        defaults[action.dest] = value
+    return defaults
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; a --config section becomes the subcommand's defaults, so flags win."""
+    parser, subcommands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    sub = subcommands[args.command]
+    sub.set_defaults(**_config_defaults(args.config, args.command, sub))
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        args = _parse(argv)
         _COMMANDS[args.command](args)
     except UstlocalError as exc:
         sys.stderr.write(_dump({"error": type(exc).__name__, "detail": str(exc)}) + "\n")

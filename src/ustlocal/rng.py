@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterOutOfRange
+
 
 def stream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator keyed by an integer seed and an index path."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    """Philox generator keyed by an integer seed >= 0 and an index path."""
+    key = tuple(int(p) for p in path)
+    if int(seed) < 0 or any(p < 0 for p in key):
+        raise ParameterOutOfRange(f"seed {seed} and stream path {key} must be >= 0")
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 

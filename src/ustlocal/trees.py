@@ -3,6 +3,20 @@
 Canonical codes are length-prefixed nested parentheses over sorted child
 codes: a vertex with subtree size s and children codes c_1 <= ... <= c_k
 serializes as "(s:c_1...c_k)".  Equal codes <=> root-preserving isomorphism.
+
+`CodeInterner` is the one canonicalizer behind them (Aho-Hopcroft-Ullman):
+a rooted tree is an integer id keyed by the sorted tuple of its children's
+ids, and the string code is made from an id only when asked for, memoized.
+`RootedTree`, `local_census` and the branching Monte Carlo all intern
+through it; stabilizer sizes count equal child ids.
+
+`local_census` is one rerooting pass over a spanning tree rooted once at
+vertex 0.  For h < r it keeps two ids per vertex: `down[v]`, the subtree of
+v away from its parent cut at depth h, and `up[v]`, the parent's side seen
+from v (the parent with its other children's `down` at depth h - 1 and its
+own `up`).  The r-ball of v is then v with the depth-(r-1) `down` of its
+children and its `up`, so a census costs O(r * sum of degrees) interns.
+`ball` builds one ball directly; it is the census's test oracle.
 """
 from __future__ import annotations
 
@@ -13,6 +27,50 @@ from math import factorial
 from typing import Iterable
 
 from .errors import InvalidVertices, PartitionMismatch, VertexOutOfRange
+
+
+class CodeInterner:
+    """Rooted trees up to root-preserving isomorphism as integer ids.
+
+    Id 0 is the single vertex.  `intern` takes a tree's children as a sorted
+    tuple of ids; a tree is always interned after its children, so its id is
+    larger than theirs.
+    """
+
+    def __init__(self):
+        self.ids: dict[tuple[int, ...], int] = {(): 0}
+        self.children: list[tuple[int, ...]] = [()]
+        self.sizes: list[int] = [1]
+        self._codes: dict[int, str] = {0: "(1:)"}
+
+    def intern(self, child_ids: tuple[int, ...]) -> int:
+        got = self.ids.get(child_ids)
+        if got is not None:
+            return got
+        new = len(self.children)
+        self.ids[child_ids] = new
+        self.children.append(child_ids)
+        sizes = self.sizes
+        sizes.append(1 + sum([sizes[c] for c in child_ids]))
+        return new
+
+    def to_code(self, cid: int) -> str:
+        """The string code of id `cid`, memoized per id."""
+        codes = self._codes
+        got = codes.get(cid)
+        if got is not None:
+            return got
+        missing = set()
+        stack = [cid]
+        while stack:
+            x = stack.pop()
+            if x not in codes and x not in missing:
+                missing.add(x)
+                stack.extend(self.children[x])
+        for x in sorted(missing):  # children before parents
+            kids = sorted([codes[c] for c in self.children[x]])
+            codes[x] = f"({self.sizes[x]}:{''.join(kids)})"
+        return codes[cid]
 
 
 class RootedTree:
@@ -49,31 +107,30 @@ class RootedTree:
             raise InvalidVertices("parent array contains a cycle")
         self.heights = tuple(heights)
         self.height = max(heights)
-        self._codes: list[str] | None = None
+        self._interner = CodeInterner()
+        self._ids: list[int] | None = None
 
     # -- canonical form -------------------------------------------------------
 
-    def _subtree_codes(self) -> list[str]:
-        if self._codes is None:
-            codes = [""] * self.size
-            sizes = [1] * self.size
-            order = sorted(range(self.size), key=lambda v: -self.heights[v])
-            for v in order:
-                kids = sorted(codes[c] for c in self.children[v])
-                sizes[v] = 1 + sum(sizes[c] for c in self.children[v])
-                codes[v] = f"({sizes[v]}:{''.join(kids)})"
-            self._codes = codes
-        return self._codes
+    def _subtree_ids(self) -> list[int]:
+        """Interned id of every vertex's subtree."""
+        if self._ids is None:
+            ids = [0] * self.size
+            intern = self._interner.intern
+            for v in sorted(range(self.size), key=lambda v: -self.heights[v]):
+                ids[v] = intern(tuple(sorted([ids[c] for c in self.children[v]])))
+            self._ids = ids
+        return self._ids
 
     def canonical_code(self) -> str:
-        return self._subtree_codes()[self.root]
+        return self._interner.to_code(self._subtree_ids()[self.root])
 
     def stab_size(self) -> int:
         """Order of the root-preserving automorphism group."""
-        codes = self._subtree_codes()
+        ids = self._subtree_ids()
         total = 1
         for v in range(self.size):
-            for mult in Counter(codes[c] for c in self.children[v]).values():
+            for mult in Counter([ids[c] for c in self.children[v]]).values():
                 total *= factorial(mult)
         return total
 
@@ -86,8 +143,9 @@ class RootedTree:
         exactly the vertices at the tree's height.  Ties inside a height level
         break by subtree code, then original index.
         """
-        codes = self._subtree_codes()
-        order = sorted(range(self.size), key=lambda v: (self.heights[v], codes[v], v))
+        ids = self._subtree_ids()
+        code = self._interner.to_code
+        order = sorted(range(self.size), key=lambda v: (self.heights[v], code(ids[v]), v))
         new_index = {v: i for i, v in enumerate(order)}
         parent = [-1] * self.size
         for i, v in enumerate(order):
@@ -160,12 +218,70 @@ def ball(tree, v: int, r: int) -> RootedTree:
     return raw.normalized()[0]
 
 
+def _rooted_at_zero(tree) -> list[list[int]]:
+    """Children lists of `tree` rooted at vertex 0, by BFS."""
+    adj = tree.adjacency()
+    children: list[list[int]] = [[] for _ in range(tree.n)]
+    seen = [False] * tree.n
+    seen[0] = True
+    order = [0]
+    for x in order:
+        kids = children[x]
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                kids.append(y)
+                order.append(y)
+    return children
+
+
 def local_census(tree, r: int) -> dict[str, int]:
-    """Counts of ball codes over all n root choices; values sum to n."""
-    census: Counter[str] = Counter()
-    for v in range(tree.n):
-        census[ball(tree, v, r).canonical_code()] += 1
-    return dict(census)
+    """Counts of ball codes over all n root choices; values sum to n.
+
+    Equal to counting `ball(tree, v, r).canonical_code()` over every v, in
+    one rerooting pass (see the module docstring).
+    """
+    if r < 0:
+        raise VertexOutOfRange(f"radius {r}")
+    n = tree.n
+    if r == 0 or n == 1:
+        return {"(1:)": n}
+    children = _rooted_at_zero(tree)
+    interner = CodeInterner()
+    intern = interner.intern
+    down = [0] * n  # depth-0 truncations: single vertices
+    up = [0] * n  # up[0] is unused: the root has no parent side
+    for _h in range(1, r):
+        new_down = [intern(tuple(sorted([down[c] for c in kids]))) if kids else 0
+                    for kids in children]
+        new_up = [0] * n
+        for p, kids in enumerate(children):
+            if not kids:
+                continue
+            pool = [down[c] for c in kids]
+            if p:
+                pool.append(up[p])
+            pool.sort()
+            shared: dict[int, int] = {}  # children with equal down see equal up
+            for c in kids:
+                d = down[c]
+                got = shared.get(d)
+                if got is None:
+                    rest = pool.copy()
+                    rest.remove(d)
+                    got = shared[d] = intern(tuple(rest))
+                new_up[c] = got
+        if new_down == down and new_up == up:
+            break  # every deeper truncation is the same tree
+        down, up = new_down, new_up
+    counts: Counter[int] = Counter()
+    for v, kids in enumerate(children):
+        ball_kids = [down[c] for c in kids]
+        if v:
+            ball_kids.append(up[v])
+        ball_kids.sort()
+        counts[intern(tuple(ball_kids))] += 1
+    return {interner.to_code(cid): k for cid, k in counts.items()}
 
 
 def degree_counts(tree) -> dict[int, int]:

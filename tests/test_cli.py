@@ -228,3 +228,69 @@ def test_negative_gen_size_exit_code(workdir, capsys):
                  "--seed", "1", "--out", str(workdir / "neg.txt")])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "VertexOutOfRange"
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_ust_nonpositive_samples_exit_code(workdir, capsys, samples):
+    code = main(["ust", "--graph", str(workdir / "k8.txt"), "--samples", samples,
+                 "--seed", "1"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
+
+
+def test_ust_negative_seed_exit_code(workdir, capsys):
+    code = main(["ust", "--graph", str(workdir / "k8.txt"), "--samples", "1",
+                 "--seed", "-1"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
+
+
+def test_branching_negative_seed_exit_code(workdir, capsys):
+    code = main(["branching", "--graphon", str(workdir / "const1.json"), "--depth", "1",
+                 "--samples", "10", "--seed", "-3"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
+
+
+def _ust_config(workdir):
+    cfg = workdir / "ust.ini"
+    cfg.write_text(f"[ust]\ngraph = {workdir / 'k8.txt'}\nsamples = 3\nseed = 4\n")
+    return cfg
+
+
+def test_config_flag_wins_in_process(workdir, capsys):
+    cfg = _ust_config(workdir)
+    assert main(["ust", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert main(["ust", "--config", str(cfg), "--samples", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_config_flag_wins_in_equals_form(workdir, capsys):
+    cfg = _ust_config(workdir)
+    assert main(["ust", f"--config={cfg}", "--samples=2", "--seed=9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["sample"] for line in lines] == [0, 1]
+    direct = main(["ust", "--graph", str(workdir / "k8.txt"), "--samples", "2",
+                   "--seed", "9"])
+    assert direct == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("line,detail", [
+    ("colour = red", "unknown config key 'colour' in section [ust]"),
+    ("radius = many", "bad value for 'radius': 'many'"),
+    ("sampler = metropolis", "bad value for 'sampler': 'metropolis'"),
+])
+def test_config_bad_entries_exit_code(workdir, capsys, line, detail):
+    cfg = _ust_config(workdir)
+    cfg.write_text(cfg.read_text() + line + "\n")
+    assert main(["ust", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigParse", "detail": detail}
+
+
+def test_config_duplicate_key_exit_code(workdir, capsys):
+    cfg = _ust_config(workdir)
+    cfg.write_text(cfg.read_text() + "samples = 5\n")
+    assert main(["ust", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"

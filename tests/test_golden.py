@@ -32,6 +32,14 @@ CASES = [
                       "--seed", "9", "--sampler", "aldous-broder"]),
     ("ust_multi.jsonl", ["ust", "--graph", "multi.txt", "--radius", "2", "--samples", "3",
                          "--seed", "2"]),
+    ("ust_r3.jsonl", ["ust", "--graph", "gen.txt", "--radius", "3", "--samples", "3",
+                      "--seed", "6"]),
+    ("ust_r0.jsonl", ["ust", "--graph", "gen.txt", "--radius", "0", "--samples", "2",
+                      "--seed", "8"]),
+    ("branching_d2.csv", ["branching", "--graphon", "two_block.json", "--depth", "2",
+                          "--samples", "20000", "--seed", "4"]),
+    ("branching_d3.csv", ["branching", "--graphon", "two_block.json", "--depth", "3",
+                          "--samples", "20000", "--seed", "6"]),
     ("count_trees.json", ["count-trees", "--graph", "gen.txt", "--graphon", "two_block.json"]),
     ("decompose.json", ["decompose", "--graph", "gen.txt", "--gamma", "0.3", "--eta", "0.3",
                         "--eps", "0.2"]),

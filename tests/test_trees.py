@@ -1,10 +1,11 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ustlocal.decompose import ExpanderDecomposition
-from ustlocal.errors import InvalidVertices, PartitionMismatch
+from ustlocal.errors import InvalidVertices, PartitionMismatch, VertexOutOfRange
 from ustlocal.trees import (
     RootedTree,
     ball,
@@ -176,3 +177,29 @@ def test_cross_edges_partition_mismatch():
 def test_tree_json_roundtrip():
     t = RootedTree([-1, 0, 0, 1])
     assert RootedTree.from_json(t.to_json()).canonical_code() == t.canonical_code()
+
+
+def test_census_single_vertex_and_negative_radius():
+    single = SpanningTree(1, [])
+    for r in (0, 1, 3):
+        assert local_census(single, r) == {"(1:)": 1}
+    with pytest.raises(VertexOutOfRange):
+        local_census(SpanningTree(3, [(0, 1, 0), (1, 2, 0)]), -1)
+
+
+def test_deep_trees_need_no_recursion():
+    n = 3000
+    path = RootedTree([-1] + list(range(n - 1)))
+    code = path.canonical_code()
+    assert code.startswith(f"({n}:({n - 1}:") and code.endswith("(1:)" + ")" * (n - 1))
+    assert path.stab_size() == 1
+
+
+def test_census_beyond_the_diameter():
+    # on a path every radius >= n - 1 sees the whole path; v and n-1-v agree
+    n = 41
+    tree = SpanningTree(n, [(i, i + 1, 0) for i in range(n - 1)])
+    expected = Counter(ball(tree, v, n - 1).canonical_code() for v in range(n))
+    assert sorted(expected.values()) == [1] + [2] * (n // 2)
+    for r in (n - 1, n, 10 * n):
+        assert local_census(tree, r) == dict(expected)
