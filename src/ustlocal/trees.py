@@ -249,8 +249,9 @@ def local_census(tree, r: int) -> dict[str, int]:
     children = _rooted_at_zero(tree)
     interner = CodeInterner()
     intern = interner.intern
-    down = [0] * n  # depth-0 truncations: single vertices
-    up = [0] * n  # up[0] is unused: the root has no parent side
+    # cut at depth 0 both sides are a single vertex (id 0); the root's up is never read
+    down = [0] * n
+    up = [0] * n
     for _h in range(1, r):
         new_down = [intern(tuple(sorted([down[c] for c in kids]))) if kids else 0
                     for kids in children]
