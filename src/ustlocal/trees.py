@@ -244,7 +244,7 @@ def local_census(tree, r: int) -> dict[str, int]:
     if r < 0:
         raise VertexOutOfRange(f"radius {r}")
     n = tree.n
-    if r == 0 or n == 1:
+    if r == 0:
         return {"(1:)": n}
     children = _rooted_at_zero(tree)
     interner = CodeInterner()
