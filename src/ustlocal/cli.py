@@ -61,6 +61,8 @@ def _census_csv(census: dict[str, int]) -> str:
 
 def _cmd_gen(args) -> None:
     _require(args, "graphon", "n", "seed", "out")
+    if args.n == 0:  # a negative n is the graph layer's VertexOutOfRange
+        raise ParameterOutOfRange("n must be >= 1")
     g = load_graphon(args.graphon)
     G, labels = sample_w_random_graph(g, args.n, args.seed)
     write_edge_list(G, args.out)
@@ -178,6 +180,8 @@ def _cmd_walk(args) -> None:
 
 def _cmd_extremal(args) -> None:
     k_max = args.k_max
+    if k_max < 1:
+        raise ParameterOutOfRange("k-max must be >= 1")
     bounds = []
     for k in range(1, k_max + 1):
         b = extremal.degree_density_bound(k)
@@ -277,10 +281,11 @@ def main(argv=None) -> int:
     except UstlocalError as exc:
         sys.stderr.write(_dump({"error": type(exc).__name__, "detail": str(exc)}) + "\n")
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # a file that is missing or unreadable, or input that is not ASCII text
         sys.stderr.write(_dump({"error": "ConfigParse", "detail": str(exc)}) + "\n")
         return 2
-    except ValueError as exc:
+    except np.linalg.LinAlgError as exc:
         sys.stderr.write(_dump({"error": "NumericError", "detail": str(exc)}) + "\n")
         return 4
     return 0

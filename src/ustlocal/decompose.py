@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSimple, ParameterOutOfRange, PartIndexOutOfRange, PartitionMismatch
+from .errors import (
+    ConfigParse,
+    NotSimple,
+    ParameterOutOfRange,
+    PartIndexOutOfRange,
+    PartitionMismatch,
+    malformed_json,
+)
 from .multigraph import MultiGraph
 from .walk import sweep_cuts
 
@@ -117,13 +124,13 @@ class ExpanderDecomposition:
 
     @classmethod
     def from_json(cls, text: str) -> "ExpanderDecomposition":
-        data = json.loads(text)
-        return cls(
-            labels=np.array(data["labels"], dtype=np.int64),
-            gamma=float(data["gamma"]),
-            eta=float(data["eta"]),
-            eps=float(data["eps"]),
-        )
+        with malformed_json("decomposition"):
+            data = json.loads(text)
+            labels = np.array(data["labels"], dtype=np.int64)
+            params = {key: float(data[key]) for key in ("gamma", "eta", "eps")}
+        if labels.ndim != 1 or (labels < 0).any():
+            raise ConfigParse("decomposition 'labels' must be a list of part indices >= 0")
+        return cls(labels=labels, **params)
 
 
 def trivial_decomposition(G: MultiGraph, gamma: float = 0.0, eta: float = 1.0, eps: float = 1.0) -> ExpanderDecomposition:

@@ -4,6 +4,7 @@ Class names double as the machine-readable ``error`` field emitted by the
 CLI, and ``exit_code`` groups them into the CLI's exit-code classes
 (2 config, 3 precondition, 4 numeric, 5 budget).
 """
+from contextlib import contextmanager
 
 
 class UstlocalError(Exception):
@@ -12,6 +13,15 @@ class UstlocalError(Exception):
 
 class ConfigParse(UstlocalError):
     exit_code = 2
+
+
+@contextmanager
+def malformed_json(what: str):
+    """Report JSON input that does not parse, lacks a key or holds an unusable value as ConfigParse."""
+    try:
+        yield
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ConfigParse(f"bad {what} JSON: {type(exc).__name__}: {exc}") from exc
 
 
 class PreconditionError(UstlocalError):

@@ -13,11 +13,13 @@ import numpy as np
 
 from .errors import (
     AsymmetricKernel,
+    ConfigParse,
     DegenerateGraphon,
     EntryOutOfRange,
     MeasuresDontSumToOne,
     TooManyBlocks,
     VertexOutOfRange,
+    malformed_json,
 )
 from .multigraph import MultiGraph
 from .rng import stream
@@ -73,8 +75,13 @@ class StepGraphon:
 
     @classmethod
     def from_json(cls, text: str) -> "StepGraphon":
-        data = json.loads(text)
-        return cls(np.array(data["mu"]), np.array(data["W"]))
+        with malformed_json("graphon"):
+            data = json.loads(text)
+            mu = np.array(data["mu"], dtype=np.float64)
+            W = np.array(data["W"], dtype=np.float64)
+        if mu.ndim != 1:
+            raise ConfigParse("graphon 'mu' must be a list of block measures")
+        return cls(mu, W)
 
 
 def constant_graphon(p: float) -> StepGraphon:

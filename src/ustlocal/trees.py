@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable
 
-from .errors import InvalidVertices, PartitionMismatch, VertexOutOfRange
+from .errors import InvalidVertices, PartitionMismatch, VertexOutOfRange, malformed_json
 
 
 class CodeInterner:
@@ -165,8 +165,8 @@ class RootedTree:
 
     @classmethod
     def from_json(cls, text: str) -> "RootedTree":
-        data = json.loads(text)
-        return cls(data["parent"])
+        with malformed_json("pattern"):
+            return cls(json.loads(text)["parent"])
 
     def __repr__(self) -> str:
         return f"RootedTree({self.canonical_code()})"

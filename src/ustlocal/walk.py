@@ -120,6 +120,8 @@ def sweep_cut_cheeger(G: MultiGraph) -> float:
 
 def spectral_profile(G: MultiGraph, exact_cheeger_limit: int = EXACT_CHEEGER_LIMIT) -> WalkProfile:
     """Cheeger constant (exact below the limit, else sweep upper bound) and lazy gap."""
+    if G.n < 2:
+        raise InvalidVertices(f"walk diagnostics need at least 2 vertices, graph has {G.n}")
     if not G.is_connected():
         raise GraphDisconnected("walk diagnostics need a connected graph")
     lam2 = _lazy_lambda2(G)
@@ -178,31 +180,29 @@ def hitting_before_return_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of P_w[tau_v < tau_u^+] with binomial standard error.
 
-    All walkers advance in lockstep; each step proposes a uniform vertex and
-    accepts with probability mult(x, proposal)/f, which walks to a neighbor
-    with probability proportional to multiplicity.
+    All walkers advance in lockstep, one exact draw from the CSR per
+    walker-step.  The expanded neighbour array `nb` repeats each neighbour of
+    a row once per parallel copy, so it holds sum(deg) entries (the degree
+    sum with multiplicity) and row x is the slice base[x] : base[x] + deg(x).
+    A walker at x moves to nb[base[x] + U] with U uniform on 0..deg(x) - 1,
+    that is to y with probability mult(x, y) / deg(x).  Walkers that reach u
+    or v leave the array after the step.
     """
     _check_hitting_args(G, w, u, v)
     if samples < 1:
         raise ParameterOutOfRange("samples must be >= 1")
     rng = stream(seed)
-    A = G.adjacency_matrix(dtype=np.float64)
-    f = float(G.max_multiplicity)
-    n = G.n
+    _indptr, indices, weights = G.csr()
+    nb = np.repeat(indices, weights)
+    deg = G.degrees
+    base = np.cumsum(deg) - deg
     cur = np.full(samples, w, dtype=np.int64)
     success = 0
-    active = np.arange(samples)
-    while active.size:
-        prop = rng.integers(0, n, size=active.size)
-        accept = rng.random(active.size) * f < A[cur[active], prop]
-        moved = active[accept]
-        cur[moved] = prop[accept]
-        arrived_v = cur[moved] == v
-        arrived_u = cur[moved] == u
-        success += int(arrived_v.sum())
-        done = np.zeros(active.size, dtype=bool)
-        done[accept] = arrived_v | arrived_u
-        active = active[~done]
+    while cur.size:
+        cur = nb[base[cur] + rng.integers(0, deg[cur])]
+        hit_v = cur == v
+        success += int(hit_v.sum())
+        cur = cur[~(hit_v | (cur == u))]
     p = success / samples
     stderr = math.sqrt(p * (1.0 - p) / samples)
     return p, stderr

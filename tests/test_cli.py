@@ -294,3 +294,64 @@ def test_config_duplicate_key_exit_code(workdir, capsys):
     cfg.write_text(cfg.read_text() + "samples = 5\n")
     assert main(["ust", "--config", str(cfg)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
+
+
+def test_graphon_file_as_pattern_exit_code(workdir, capsys):
+    graphon = str(workdir / "const1.json")
+    assert main(["freq", "--pattern", graphon, "--graphon", graphon]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigParse"
+    assert "'parent'" in err["detail"]
+
+
+def test_edge_list_as_graphon_exit_code(workdir, capsys):
+    graph = str(workdir / "k8.txt")
+    assert main(["count-trees", "--graph", graph, "--graphon", graph]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"labels": [1, 1], "gamma": 0.5, "eta": 0.5}',
+    '{"labels": [1, -1], "gamma": 0.5, "eta": 0.5, "eps": 0.1}',
+    '{"labels": [[1, 1]], "gamma": 0.5, "eta": 0.5, "eps": 0.1}',
+])
+def test_malformed_decomposition_exit_code(workdir, capsys, text):
+    dec = workdir / "dec.json"
+    dec.write_text(text)
+    code = main(["freq", "--pattern", str(workdir / "edge.json"),
+                 "--graph", str(workdir / "k8.txt"), "--decomp", str(dec)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
+
+
+@pytest.mark.parametrize("text", ['{"mu": 1.0, "W": [[1.0]]}', '{"mu": ["x"], "W": [[1.0]]}'])
+def test_unusable_graphon_values_exit_code(workdir, capsys, text):
+    graphon = workdir / "bad.json"
+    graphon.write_text(text)
+    assert main(["freq", "--pattern", str(workdir / "edge.json"), "--graphon", str(graphon)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
+
+
+def test_zero_gen_size_exit_code(workdir, capsys):
+    out = workdir / "zero.txt"
+    code = main(["gen", "--graphon", str(workdir / "const1.json"), "--n", "0",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k_max", ["0", "-2"])
+def test_extremal_nonpositive_k_max_exit_code(capsys, k_max):
+    assert main(["extremal", "--k-max", k_max]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ParameterOutOfRange"
+
+
+def test_walk_one_vertex_exit_code(tmp_path, capsys):
+    one = tmp_path / "one.txt"
+    one.write_text("1 0\n")
+    assert main(["walk", "--graph", str(one)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidVertices"

@@ -48,16 +48,40 @@ def test_escape_probability_identity(rng):
         assert p * G.degree(u) * r == pytest.approx(1.0, abs=1e-9)
 
 
-def test_mc_matches_exact(rng):
-    for seed in range(4):
+def _mc_matches_exact(rng, max_mult, seeds):
+    for seed in seeds:
         n = int(rng.integers(4, 12))
-        G = random_connected_graph(rng, n, 0.6)
+        G = random_connected_graph(rng, n, 0.6, max_mult=max_mult)
         w, u, v = int(rng.integers(n)), 0, n - 1
         if w == v:
             w = u
         exact = hitting_before_return_exact(G, w, u, v)
         est, se = hitting_before_return_mc(G, w, u, v, 20000, seed=seed)
         assert abs(est - exact) <= 4 * max(se, 1e-4)
+
+
+def test_mc_matches_exact(rng):
+    _mc_matches_exact(rng, 1, range(4))
+
+
+def test_mc_matches_exact_on_multigraphs(rng):
+    _mc_matches_exact(rng, 3, range(100, 104))
+
+
+def test_hand_checked_multigraph():
+    # from 0: straight to 1 w.p. 3/4; else to 2, then to 1 or back to 0 evenly
+    G = MultiGraph.build(3, [(0, 1, 3), (0, 2, 1), (1, 2, 1)])
+    exact = hitting_before_return_exact(G, 0, 0, 1)
+    assert exact == pytest.approx(7 / 8, abs=1e-12)
+    est, se = hitting_before_return_mc(G, 0, 0, 1, 20000, seed=5)
+    assert abs(est - 7 / 8) <= 4 * max(se, 1e-4)
+
+
+def test_mc_same_seed_same_estimate():
+    G = MultiGraph.build(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (0, 3, 1), (0, 2, 1)])
+    assert hitting_before_return_mc(G, 1, 0, 3, 5000, seed=8) == hitting_before_return_mc(
+        G, 1, 0, 3, 5000, seed=8
+    )
 
 
 def test_mc_rejects_zero_samples():
@@ -135,3 +159,9 @@ def test_dense_expander_hitting_law(rng):
     w, u, v = 7, 3, 11
     exact = hitting_before_return_exact(G, w, u, v)
     assert abs(exact - deg[v] / (deg[u] + deg[v])) <= 0.02
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_profile_needs_two_vertices(n):
+    with pytest.raises(InvalidVertices):
+        spectral_profile(MultiGraph.build(n, []))
