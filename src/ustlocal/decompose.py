@@ -24,8 +24,8 @@ from .errors import (
     PartitionMismatch,
     malformed_json,
 )
-from .multigraph import MultiGraph
-from .walk import sweep_cuts
+from .multigraph import EXACT_EXPANDER_LIMIT, MultiGraph
+from .walk import _lazy_lambda2, sweep_cuts
 
 GOOD_CONSTANT_DEFAULTS = {"c_a": 1.0, "c_b": 1.0, "c_c": 1.0, "c_d": 1.0}
 BIG_CONSTANT_DEFAULTS = {"c_e": 1.0, "c_f": 0.4}
@@ -265,8 +265,6 @@ def spectral_expansion_certificate(sub: MultiGraph) -> float:
     From the Cheeger inequality, any cut satisfies
     e(U, P\\U) >= (1 - lambda_2) delta_min |U||P\\U| / |P|.
     """
-    from .walk import _lazy_lambda2
-
     if sub.n < 2:
         return float("inf")
     if not sub.is_connected():
@@ -276,7 +274,7 @@ def spectral_expansion_certificate(sub: MultiGraph) -> float:
 
 
 def verify_decomposition(G: MultiGraph, dec: ExpanderDecomposition) -> VerificationReport:
-    """(G1), (G2) checked exactly; (G3) exact up to 20 vertices, else certified."""
+    """(G1), (G2) checked exactly; (G3) exact up to EXACT_EXPANDER_LIMIT vertices, else certified."""
     if len(dec.labels) != G.n:
         raise PartitionMismatch(f"{len(dec.labels)} labels for {G.n} vertices")
     n = G.n
@@ -302,7 +300,7 @@ def verify_decomposition(G: MultiGraph, dec: ExpanderDecomposition) -> Verificat
     for i in range(1, dec.k + 1):
         part = np.flatnonzero(dec.labels == i)
         sub, _ = G.induced_subgraph(part)
-        if sub.n <= 20:
+        if sub.n <= EXACT_EXPANDER_LIMIT:
             value = sub.exact_expansion()
             ok = value >= dec.gamma - 1e-12
             check = PartCheck(i, ok, "exact", value)

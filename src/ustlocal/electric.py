@@ -15,6 +15,7 @@ from .errors import (
     DegenerateGraphon,
     EdgeNotInGraph,
     GraphDisconnected,
+    InvalidVertices,
     NotSimple,
     NumericError,
     ParameterOutOfRange,
@@ -95,6 +96,8 @@ def edge_ust_probability(G: MultiGraph, e) -> float:
 
 def log_spanning_tree_count(G: MultiGraph) -> float:
     """log t(G) via the log-determinant of a principal Laplacian minor."""
+    if G.n == 0:
+        raise InvalidVertices("a graph with no vertices has no spanning tree")
     if not G.is_connected():
         raise GraphDisconnected("spanning trees exist only in connected graphs")
     if G.n <= 1:

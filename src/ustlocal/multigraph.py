@@ -134,6 +134,7 @@ class MultiGraph:
         self._degrees: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._adj: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+        self._steps: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._components: np.ndarray | None = None
 
     # -- construction ---------------------------------------------------------
@@ -233,6 +234,7 @@ class MultiGraph:
             deg = np.bincount(self.u, weights=self.mult, minlength=self.n)
             deg += np.bincount(self.v, weights=self.mult, minlength=self.n)
             self._degrees = deg.astype(np.int64)
+            self._degrees.flags.writeable = False
         return self._degrees
 
     def degree(self, v: int) -> int:
@@ -264,6 +266,22 @@ class MultiGraph:
             for arr in self._csr:
                 arr.flags.writeable = False
         return self._csr
+
+    def step_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nb, base, deg) for random-walk steps in proportion to multiplicity.
+
+        `nb` repeats each CSR neighbour once per parallel copy, so row x is
+        nb[base[x] : base[x] + deg[x]] and a uniform index into it picks y
+        with probability mult(x, y) / deg(x).
+        """
+        if self._steps is None:
+            _indptr, indices, weights = self.csr()
+            deg = self.degrees
+            nb, base = np.repeat(indices, weights), np.cumsum(deg) - deg
+            for arr in (nb, base):
+                arr.flags.writeable = False
+            self._steps = (nb, base, deg)
+        return self._steps
 
     def adjacency_lists(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-vertex neighbor arrays and matching multiplicities, sorted (views into the CSR)."""
@@ -354,45 +372,19 @@ class MultiGraph:
 
     # -- exact expansion -----------------------------------------------------------
 
-    def is_gamma_expander(self, gamma: float, exhaustive_limit: int = EXACT_EXPANDER_LIMIT) -> bool:
+    def is_gamma_expander(self, gamma: float) -> bool:
         """Exact check of e(U, V\\U) >= gamma |U| (n - |U|) for every U."""
-        return self.exact_expansion(exhaustive_limit) >= gamma - 1e-12
+        return self.exact_expansion() >= gamma - 1e-12
 
-    def exact_expansion(self, exhaustive_limit: int = EXACT_EXPANDER_LIMIT) -> float:
-        """min over proper nonempty U of e(U, V\\U) / (|U| |V\\U|), by enumeration.
+    def exact_expansion(self) -> float:
+        """min over proper nonempty U of e(U, V\\U) / (|U| |V\\U|), from `subset_cuts`.
 
-        Subsets are walked in Gray-code order so each step updates the cut in
-        O(deg).  Refuses above `exhaustive_limit` vertices.
+        Refuses above EXACT_EXPANDER_LIMIT vertices.
         """
-        n = self.n
-        if n > exhaustive_limit:
-            raise TooLargeForExactCheck(
-                f"{n} vertices > limit {exhaustive_limit}; use the spectral bound instead"
-            )
-        if n <= 1:
-            return float("inf")
-        nbrs, mults = self.adjacency_lists()
-        deg = self.degrees
-        in_u = np.zeros(n, dtype=bool)
-        cut = 0
-        size = 0
-        best = float("inf")
-        # vertex n-1 stays outside U; every unordered split is still visited once
-        for i in range(1, 1 << (n - 1)):
-            v = (i & -i).bit_length() - 1
-            into_u = int(mults[v][in_u[nbrs[v]]].sum()) if len(nbrs[v]) else 0
-            if in_u[v]:
-                in_u[v] = False
-                cut -= deg[v] - 2 * into_u
-                size -= 1
-            else:
-                in_u[v] = True
-                cut += deg[v] - 2 * into_u
-                size += 1
-            ratio = cut / (size * (n - size))
-            if ratio < best:
-                best = ratio
-        return float(best)
+        size, _vol, cut = subset_cuts(self)
+        nonempty = size > 0
+        size, cut = size[nonempty], cut[nonempty]
+        return float((cut / (size * (self.n - size))).min(initial=np.inf))
 
     # -- textual edge-list format -----------------------------------------------
 
@@ -445,6 +437,41 @@ class MultiGraph:
 
     def check_handshake(self) -> None:
         assert int(self.degrees.sum()) == 2 * self.num_edges
+
+
+def _bit_rows(k: int) -> np.ndarray:
+    """The 2^k subsets of k items as 0/1 float rows; row i holds the bits of i."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(np.float64)
+
+
+def subset_cuts(G: MultiGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(size, vol, cut) of every S of {0..n-2}, indexed by the bitmask of S.
+
+    Vertex n-1 stays outside S, so each split {S, V\\S} appears once.  The
+    free vertices split into halves L and R with 0/1 subset matrices X_L and
+    X_R (meet in the middle): e(S, S) counts ordered pairs inside S, which
+    come from inside S_L, inside S_R, or across, the last for all pairs of
+    halves at once as the product X_R A_RL X_L^T.  Then cut = vol - e(S, S).
+    Every entry is an integer, so the float64 sums are exact.  Each array
+    holds 2^(n-1) values; refuses above EXACT_EXPANDER_LIMIT vertices.
+    """
+    n = G.n
+    if n > EXACT_EXPANDER_LIMIT:
+        raise TooLargeForExactCheck(
+            f"{n} vertices > limit {EXACT_EXPANDER_LIMIT}; use the spectral bound instead"
+        )
+    free = max(n - 1, 0)
+    h = free // 2
+    A = G.adjacency_matrix()[:free, :free]
+    deg = G.degrees[:free].astype(np.float64)
+    XL, XR = _bit_rows(h), _bit_rows(free - h)
+    A_LL, A_RR, A_RL = A[:h, :h], A[h:, h:], A[h:, :h]
+    # rows index S_R and columns S_L, so the C-order ravel is the bitmask order
+    size = XR.sum(axis=1)[:, None] + XL.sum(axis=1)[None, :]
+    vol = (XR @ deg[h:])[:, None] + (XL @ deg[:h])[None, :]
+    inside = ((XR @ A_RR) * XR).sum(axis=1)[:, None] + ((XL @ A_LL) * XL).sum(axis=1)[None, :]
+    inside += 2.0 * ((XR @ A_RL) @ XL.T)
+    return size.ravel(), vol.ravel(), (vol - inside).ravel()
 
 
 def _parse_integers(tokens: list[str], where: str) -> np.ndarray:

@@ -3,6 +3,11 @@
 Sampling is Wilson's loop-erased-random-walk algorithm rooted at vertex 0
 (uniformity is root-independent; fixing the root aids reproducibility).
 Parallel copies are distinguishable: a tree edge is (u, v, copy).
+
+Both walk samplers step through `MultiGraph.step_table`, whose row x lists
+each neighbour once per parallel copy: a walker at x draws a uniform u and
+moves to nb[base[x] + floor(u deg(x))], that is to y with probability
+mult(x, y) / deg(x).
 """
 from __future__ import annotations
 
@@ -71,35 +76,11 @@ class SpanningTree:
         return f"SpanningTree(n={self.n})"
 
 
-class _NeighborSampler:
-    """Neighbor sampling proportional to multiplicity, with a uniform fast path."""
-
-    def __init__(self, G: MultiGraph):
-        nbrs, mults = G.adjacency_lists()
-        self.nbrs = nbrs
-        self.uniform = [bool(len(m) and (m == m[0]).all()) for m in mults]
-        self.cumw = [np.cumsum(m, dtype=np.float64) for m in mults]
-
-    def step(self, v: int, unif) -> int:
-        row = self.nbrs[v]
-        if self.uniform[v]:
-            j = int(unif() * len(row))
-            if j == len(row):
-                j -= 1
-            return int(row[j])
-        cw = self.cumw[v]
-        j = int(np.searchsorted(cw, unif() * cw[-1], side="right"))
-        if j == len(row):
-            j -= 1
-        return int(row[j])
-
-
-def _sampler_for(G: MultiGraph) -> _NeighborSampler:
-    sampler = getattr(G, "_nbr_sampler", None)
-    if sampler is None:
-        sampler = _NeighborSampler(G)
-        G._nbr_sampler = sampler
-    return sampler
+def _step(x: int, unif, nb: np.ndarray, base: list[int], deg: list[int]) -> int:
+    """One walk step from x; u deg(x) rounding up to deg(x) takes the last copy."""
+    d = deg[x]
+    k = int(unif() * d)
+    return int(nb[base[x] + (k if k < d else d - 1)])
 
 
 def _assign_copies(G: MultiGraph, pairs: Sequence[tuple[int, int]], rng) -> list[tuple[int, int, int]]:
@@ -125,14 +106,15 @@ def wilson_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
         return SpanningTree(1, [])
     rng = stream(seed)
     unif = UniformBuffer(rng)
-    sampler = _sampler_for(G)
+    nb, base, deg = G.step_table()
+    base, deg = base.tolist(), deg.tolist()
     in_tree = [False] * G.n
     nxt = [-1] * G.n
     in_tree[root] = True
     for start in range(G.n):
         u = start
         while not in_tree[u]:
-            nxt[u] = sampler.step(u, unif)
+            nxt[u] = _step(u, unif, nb, base, deg)
             u = nxt[u]
         u = start
         while not in_tree[u]:
@@ -151,14 +133,15 @@ def aldous_broder_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTre
         return SpanningTree(1, [])
     rng = stream(seed)
     unif = UniformBuffer(rng)
-    sampler = _sampler_for(G)
+    nb, base, deg = G.step_table()
+    base, deg = base.tolist(), deg.tolist()
     visited = [False] * G.n
     visited[root] = True
     remaining = G.n - 1
     pairs = []
     cur = root
     while remaining:
-        nxt = sampler.step(cur, unif)
+        nxt = _step(cur, unif, nb, base, deg)
         if not visited[nxt]:
             visited[nxt] = True
             remaining -= 1

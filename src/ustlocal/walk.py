@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GraphDisconnected, InvalidVertices, ParameterOutOfRange
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, subset_cuts
 from .rng import stream
 
 EXACT_CHEEGER_LIMIT = 18
@@ -35,23 +35,24 @@ class WalkProfile:
         return (0.5 * math.log(1.0 / self.min_stationary) + math.log(1.0 / (2 * eps))) / self.gap
 
 
-def _lazy_lambda2(G: MultiGraph) -> float:
+def _lazy_walk_matrix(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The lazy chain symmetrized as D^1/2 P D^-1/2, and deg^-1/2."""
     deg = G.degrees.astype(np.float64)
     A = G.adjacency_matrix()
     inv_sqrt = 1.0 / np.sqrt(deg)
     N = A * inv_sqrt[:, None] * inv_sqrt[None, :]
-    M = 0.5 * (np.eye(G.n) + N)
+    return 0.5 * (np.eye(G.n) + N), inv_sqrt
+
+
+def _lazy_lambda2(G: MultiGraph) -> float:
+    M, _inv_sqrt = _lazy_walk_matrix(G)
     vals = scipy.linalg.eigvalsh(M)
     return float(vals[-2])
 
 
 def _fiedler_vector(G: MultiGraph) -> np.ndarray:
     """Eigenvector for lambda_2 of the lazy chain, in walk coordinates."""
-    deg = G.degrees.astype(np.float64)
-    A = G.adjacency_matrix()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    N = A * inv_sqrt[:, None] * inv_sqrt[None, :]
-    M = 0.5 * (np.eye(G.n) + N)
+    M, inv_sqrt = _lazy_walk_matrix(G)
     vals, vecs = scipy.linalg.eigh(M)
     y = vecs[:, -2] * inv_sqrt
     # canonical sign: entry of largest magnitude is positive
@@ -62,31 +63,16 @@ def _fiedler_vector(G: MultiGraph) -> np.ndarray:
 
 
 def exact_cheeger(G: MultiGraph) -> float:
-    """Phi_* = min_{pi(S) <= 1/2} e(S, V\\S) / (2 vol(S)), by Gray-code enumeration."""
-    n = G.n
-    nbrs, mults = G.adjacency_lists()
-    deg = G.degrees
-    total_vol = int(deg.sum())
-    in_s = np.zeros(n, dtype=bool)
-    cut = 0
-    vol = 0
-    best = float("inf")
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length() - 1
-        into_s = int(mults[v][in_s[nbrs[v]]].sum()) if len(nbrs[v]) else 0
-        if in_s[v]:
-            in_s[v] = False
-            cut -= deg[v] - 2 * into_s
-            vol -= deg[v]
-        else:
-            in_s[v] = True
-            cut += deg[v] - 2 * into_s
-            vol += deg[v]
-        if 0 < vol and 2 * vol <= total_vol:
-            ratio = cut / (2.0 * vol)
-            if ratio < best:
-                best = ratio
-    return float(best)
+    """Phi_* = min_{pi(S) <= 1/2} e(S, V\\S) / (2 vol(S)), from `subset_cuts`.
+
+    A set and its complement have one cut, so the sets without vertex n-1
+    cover every split, each scored by its side of smaller volume.  Refuses
+    above EXACT_EXPANDER_LIMIT vertices.
+    """
+    _size, vol, cut = subset_cuts(G)
+    side = np.minimum(vol, float(G.degrees.sum()) - vol)
+    has_side = side > 0
+    return float((cut[has_side] / (2.0 * side[has_side])).min(initial=np.inf))
 
 
 def sweep_cuts(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -118,14 +104,14 @@ def sweep_cut_cheeger(G: MultiGraph) -> float:
     return float((cuts[has_side] / (2.0 * side_vol[has_side])).min())
 
 
-def spectral_profile(G: MultiGraph, exact_cheeger_limit: int = EXACT_CHEEGER_LIMIT) -> WalkProfile:
+def spectral_profile(G: MultiGraph) -> WalkProfile:
     """Cheeger constant (exact below the limit, else sweep upper bound) and lazy gap."""
     if G.n < 2:
         raise InvalidVertices(f"walk diagnostics need at least 2 vertices, graph has {G.n}")
     if not G.is_connected():
         raise GraphDisconnected("walk diagnostics need a connected graph")
     lam2 = _lazy_lambda2(G)
-    if G.n <= exact_cheeger_limit:
+    if G.n <= EXACT_CHEEGER_LIMIT:
         phi, exact = exact_cheeger(G), True
     else:
         phi, exact = sweep_cut_cheeger(G), False
@@ -180,11 +166,8 @@ def hitting_before_return_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of P_w[tau_v < tau_u^+] with binomial standard error.
 
-    All walkers advance in lockstep, one exact draw from the CSR per
-    walker-step.  The expanded neighbour array `nb` repeats each neighbour of
-    a row once per parallel copy, so it holds sum(deg) entries (the degree
-    sum with multiplicity) and row x is the slice base[x] : base[x] + deg(x).
-    A walker at x moves to nb[base[x] + U] with U uniform on 0..deg(x) - 1,
+    All walkers advance in lockstep through `MultiGraph.step_table`: a
+    walker at x moves to nb[base[x] + U] with U uniform on 0..deg(x) - 1,
     that is to y with probability mult(x, y) / deg(x).  Walkers that reach u
     or v leave the array after the step.
     """
@@ -192,10 +175,7 @@ def hitting_before_return_mc(
     if samples < 1:
         raise ParameterOutOfRange("samples must be >= 1")
     rng = stream(seed)
-    _indptr, indices, weights = G.csr()
-    nb = np.repeat(indices, weights)
-    deg = G.degrees
-    base = np.cumsum(deg) - deg
+    nb, base, deg = G.step_table()
     cur = np.full(samples, w, dtype=np.int64)
     success = 0
     while cur.size:

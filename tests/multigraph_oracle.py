@@ -127,6 +127,37 @@ class DictGraph:
                 if u in index and v in index}
         return DictGraph(len(verts), mult), index
 
+    def _gray_code_cuts(self):
+        """(size, vol, cut) of every nonempty S of 0..n-1, in Gray-code order.
+
+        Consecutive sets differ in one vertex v, so each step updates the
+        cut by deg(v) - 2 e({v}, S) in O(deg).
+        """
+        nbrs, mults = self.adjacency_lists()
+        deg = self.degrees()
+        in_s = [False] * self.n
+        size = vol = cut = 0
+        for i in range(1, 1 << self.n):
+            v = (i & -i).bit_length() - 1
+            into_s = sum(m for w, m in zip(nbrs[v], mults[v]) if in_s[w])
+            sign = -1 if in_s[v] else 1
+            in_s[v] = not in_s[v]
+            size += sign
+            vol += sign * deg[v]
+            cut += sign * (deg[v] - 2 * into_s)
+            yield size, vol, cut
+
+    def exact_expansion(self):
+        """min over proper nonempty U of e(U, V\\U) / (|U| |V\\U|)."""
+        return min((cut / (size * (self.n - size)) for size, _vol, cut in self._gray_code_cuts()
+                    if size < self.n), default=float("inf"))
+
+    def exact_cheeger(self):
+        """min over S with 0 < vol(S) <= vol(V) / 2 of e(S, V\\S) / (2 vol(S))."""
+        total = sum(self.degrees())
+        return min((cut / (2.0 * vol) for _size, vol, cut in self._gray_code_cuts()
+                    if 0 < vol and 2 * vol <= total), default=float("inf"))
+
     def to_edge_list_text(self):
         lines = [f"{self.n} {len(self.mult)}"]
         lines += [f"{u} {v} {m}" if m != 1 else f"{u} {v}" for (u, v), m in self.mult.items()]

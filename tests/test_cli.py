@@ -252,6 +252,14 @@ def test_branching_negative_seed_exit_code(workdir, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
 
 
+def test_count_trees_empty_graph_exit_code(workdir, capsys):
+    empty = workdir / "empty.txt"
+    empty.write_text("0 0\n")
+    code = main(["count-trees", "--graph", str(empty)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidVertices"
+
+
 def _ust_config(workdir):
     cfg = workdir / "ust.ini"
     cfg.write_text(f"[ust]\ngraph = {workdir / 'k8.txt'}\nsamples = 3\nseed = 4\n")

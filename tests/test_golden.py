@@ -1,8 +1,11 @@
 """Byte-identity of CLI outputs on fixed seeds against committed golden files.
 
 The inputs live in `tests/golden/`: `two_block.json` (a two-block
-graphon), `cherry.json` (a height-1 pattern) and `multi.txt` (a 20-vertex
-multigraph with multiplicities 1 to 3).  The graph that `gen` writes there is
+graphon), `cherry.json` (a height-1 pattern), `multi.txt` (a 20-vertex
+multigraph with multiplicities 1 to 3), `multi16.txt` (a 16-vertex
+multigraph with multiplicities 1 to 3, small enough for the exact Cheeger
+constant) and `double.txt` (a 40-vertex graph with every pair doubled, whose
+rows all carry one multiplicity).  The graph that `gen` writes there is
 the input of the later subcommands, so a regression shows up in the
 subcommand that caused it.  At gamma = 0.9 the cleaning sweep of `decompose`
 strips a set, which `decompose_strip.json` covers.  To regenerate after a
@@ -48,6 +51,11 @@ CASES = [
     ("freq.json", ["freq", "--pattern", "cherry.json", "--graph", "gen.txt",
                    "--decomp", "decompose.json", "--eps", "0.25"]),
     ("walk.json", ["walk", "--graph", "gen.txt"]),
+    ("walk_multi16.json", ["walk", "--graph", "multi16.txt"]),
+    ("ust_double.jsonl", ["ust", "--graph", "double.txt", "--radius", "2", "--samples", "3",
+                          "--seed", "3"]),
+    ("ust_double_ab.jsonl", ["ust", "--graph", "double.txt", "--radius", "2", "--samples", "3",
+                             "--seed", "4", "--sampler", "aldous-broder"]),
     ("resistance.json", ["resistance", "--graph", "gen.txt", "--u", "0", "--v", "59"]),
     ("resistance_multi.json", ["resistance", "--graph", "multi.txt", "--u", "3", "--v", "17"]),
 ]

@@ -269,6 +269,9 @@ def test_edge_arrays_are_read_only():
         G.mult[0] = 2
     with pytest.raises(ValueError):
         G.adjacency_lists()[0][0][0] = 2
+    for arr in G.step_table():
+        with pytest.raises(ValueError):
+            arr[0] = 2
 
 
 @pytest.mark.parametrize("text", ["3 2\n0\n1 2\n", "3 2\n0 1 1 1\n1 2\n", "3 2\n0 1\n\n"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ustlocal.errors import UstlocalError
 from ustlocal.multigraph import MultiGraph
+from ustlocal.walk import exact_cheeger
 
 from multigraph_oracle import DictGraph, same_graph
 
@@ -51,6 +52,10 @@ def test_accessors_match_oracle(graph):
     ref_nbrs, ref_mults = D.adjacency_lists()
     assert [a.tolist() for a in nbrs] == ref_nbrs
     assert [a.tolist() for a in mults] == ref_mults
+    nb, base, deg = G.step_table()
+    assert [nb[b:b + d].tolist() for b, d in zip(base.tolist(), deg.tolist())] == [
+        [w for w, m in zip(ws, ms) for _ in range(m)] for ws, ms in zip(ref_nbrs, ref_mults)
+    ]
     assert G.component_labels().tolist() == D.component_labels()
     assert G.num_edges == sum(D.mult.values())
     for u in range(-1, G.n + 1):
@@ -139,3 +144,11 @@ def test_edit_errors_match_oracle(graph, data):
                 getattr(G, op)(S)
         else:
             getattr(G, op)(S)
+
+
+@PROPERTY
+@given(multigraphs(max_n=14))
+def test_subset_cut_table_matches_gray_code_oracle(graph):
+    G, D = _both(*graph)
+    assert G.exact_expansion() == D.exact_expansion()
+    assert exact_cheeger(G) == D.exact_cheeger()

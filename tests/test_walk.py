@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from ustlocal.electric import effective_resistance
-from ustlocal.errors import GraphDisconnected, InvalidVertices, ParameterOutOfRange
+from ustlocal.errors import (
+    GraphDisconnected,
+    InvalidVertices,
+    ParameterOutOfRange,
+    TooLargeForExactCheck,
+)
 from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, path_graph
 from ustlocal.walk import (
+    EXACT_CHEEGER_LIMIT,
     exact_cheeger,
     hitting_before_return_exact,
     hitting_before_return_mc,
@@ -130,10 +136,15 @@ def test_lazy_spectrum_range(rng):
 
 def test_sweep_bound_flagged_and_valid():
     # above the exact limit the profile returns an upper bound on Phi_*
-    G = complete_graph(12)
-    prof = spectral_profile(G, exact_cheeger_limit=8)
+    G = complete_graph(EXACT_CHEEGER_LIMIT + 1)
+    prof = spectral_profile(G)
     assert not prof.cheeger_exact
     assert prof.cheeger >= exact_cheeger(G) - 1e-12
+
+
+def test_exact_cheeger_too_large():
+    with pytest.raises(TooLargeForExactCheck):
+        exact_cheeger(complete_graph(21))
 
 
 def test_mixing_bound_monotone_in_eps():
