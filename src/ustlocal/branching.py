@@ -10,7 +10,6 @@ depth-r sample always has height exactly r.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,13 @@ from .trees import CodeInterner, RootedTree
 
 
 def _offspring_rates(g: StepGraphon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Other-child intensities, the ancestral child's cumulative block law per
+    parent block, and the cumulative root block law."""
     g.require_nondegenerate()
     d = g.block_degrees
     oth_rate = g.W * g.mu[None, :] / d[None, :]  # row i: intensity of block-j others
     anc_probs = g.W * g.mu[None, :] / d[:, None]  # rows sum to 1
-    return oth_rate, anc_probs, np.cumsum(g.mu)
+    return oth_rate, np.cumsum(anc_probs, axis=1), np.cumsum(g.mu)
 
 
 @dataclass
@@ -41,7 +42,7 @@ def sample_kappa_particles(g: StepGraphon, r: int, seed: int) -> list[KappaParti
     """First r generations as an explicit particle list (root first, BFS order)."""
     if r < 0:
         raise ParameterOutOfRange("depth must be >= 0")
-    oth_rate, anc_probs, mu_cum = _offspring_rates(g)
+    oth_rate, anc_cum, mu_cum = _offspring_rates(g)
     rng = stream(seed)
     root_block = int(np.searchsorted(mu_cum, rng.random(), side="right"))
     root_block = min(root_block, g.k - 1)
@@ -52,9 +53,8 @@ def sample_kappa_particles(g: StepGraphon, r: int, seed: int) -> list[KappaParti
         for idx in frontier:
             p = particles[idx]
             if p.kind == "anc":
-                row = anc_probs[p.block]
                 u = rng.random()
-                child_block = int(np.searchsorted(np.cumsum(row), u, side="right"))
+                child_block = int(np.searchsorted(anc_cum[p.block], u, side="right"))
                 child_block = min(child_block, g.k - 1)
                 particles.append(KappaParticle("anc", child_block, idx, depth + 1))
                 next_frontier.append(len(particles) - 1)
@@ -73,6 +73,100 @@ def sample_kappa(g: StepGraphon, r: int, seed: int) -> RootedTree:
     return RootedTree([p.parent for p in particles])
 
 
+def _sample_generations(
+    g: StepGraphon, r: int, samples: int, rng: np.random.Generator
+) -> tuple[list[int], list[np.ndarray]]:
+    """`samples` independent depth-r processes, one array per generation.
+
+    Returns the generation sizes (generation 0 holds the roots) and, for
+    generations 1..r, each child's parent position in the generation above,
+    sorted.  Only these are kept: blocks and sampling temporaries are freed
+    as soon as the next generation is placed, which keeps the peak memory low
+    and the same from one call to the next.
+    """
+    oth_rate, anc_cum, mu_cum = _offspring_rates(g)
+    k = g.k
+    cur = np.minimum(
+        np.searchsorted(mu_cum, rng.random(samples), side="right"), k - 1
+    ).astype(np.int64)
+    anc_idx = np.arange(samples)  # ancestral particle position inside its generation
+    sizes = [samples]
+    gen_parents: list[np.ndarray] = []
+    block_ids = np.arange(k, dtype=np.min_scalar_type(k - 1))  # tiled once per parent
+    for _depth in range(r):
+        u = rng.random(samples)
+        anc_block = cur[anc_idx]
+        # count the thresholds below u, leaving out the last one: rounding
+        # can end a cumulative row below 1.0, and a u above it is block k - 1
+        anc_child_block = np.zeros(samples, dtype=np.int64)
+        for j in range(k - 1):
+            anc_child_block += u > anc_cum[anc_block, j]
+        del u, anc_block
+        counts = rng.poisson(oth_rate[cur])  # (P, k)
+        per_parent = counts.sum(axis=1)
+        oth_block = np.repeat(np.tile(block_ids, len(cur)), counts.reshape(-1))
+        del counts
+        # each parent lists its ancestral child (if any) first, then its
+        # others by block; anc_idx rises with the sample id, and so does the
+        # position of each ancestral child in the new generation
+        per_parent[anc_idx] += 1
+        starts = np.cumsum(per_parent) - per_parent
+        anc_idx = starts[anc_idx]
+        del starts
+        cur = np.empty(int(per_parent.sum()), dtype=np.int64)
+        is_other = np.ones(len(cur), dtype=bool)
+        is_other[anc_idx] = False
+        cur[anc_idx] = anc_child_block
+        cur[is_other] = oth_block
+        del is_other, oth_block, anc_child_block
+        gen_parents.append(np.repeat(np.arange(len(per_parent)), per_parent))
+        sizes.append(len(cur))
+    return sizes, gen_parents
+
+
+def _intern_generation(
+    interner: CodeInterner, child_parent: np.ndarray, child_codes: np.ndarray, parent_count: int
+) -> np.ndarray:
+    """Code ids of `parent_count` parents from their children's ids.
+
+    `child_parent` is sorted.  Parents are bucketed by child count L, so each
+    bucket is an exact (m_L, L) matrix of sorted child ids.  `intern` runs
+    once per distinct row, in order of the row's first parent, which gives
+    the ids that interning parent by parent gives.  Childless parents get 0.
+    """
+    # sort by (parent, code) as one key; parent_count * (max id + 1) is at
+    # most the square of the particle count, far below 2^63; the sort keeps
+    # each parent's children in place, so the remainder is the sorted id
+    span = int(child_codes.max(initial=0)) + 1
+    sorted_codes = child_parent * span
+    sorted_codes += child_codes
+    sorted_codes.sort()
+    sorted_codes %= span
+    counts = np.bincount(child_parent, minlength=parent_count)
+    starts = np.cumsum(counts) - counts
+    row_of = np.zeros(parent_count, dtype=np.int64)  # 1 + index into rows; 0: no children
+    rows: list[list[int]] = []  # distinct rows of every bucket, bucket by bucket
+    firsts = []
+    for L in np.unique(counts[counts > 0]).tolist():
+        parents = np.flatnonzero(counts == L)
+        mat = sorted_codes[starts[parents][:, None] + np.arange(L)]
+        perm = np.lexsort(mat.T[::-1])  # stable, so equal rows keep parent order
+        mat = mat[perm]
+        parents = parents[perm]
+        new = np.ones(len(mat), dtype=bool)
+        new[1:] = (mat[1:] != mat[:-1]).any(axis=1)
+        row_of[parents] = len(rows) + np.cumsum(new)
+        rows.extend(mat[new].tolist())
+        firsts.append(parents[new])
+    if not rows:
+        return row_of
+    ids = [0] * (len(rows) + 1)
+    intern = interner.intern
+    for i in np.argsort(np.concatenate(firsts)).tolist():
+        ids[i + 1] = intern(tuple(rows[i]))
+    return np.array(ids, dtype=np.int64)[row_of]
+
+
 def root_ball_distribution_mc(
     g: StepGraphon, r: int, samples: int, seed: int
 ) -> dict[str, tuple[float, float]]:
@@ -85,59 +179,15 @@ def root_ball_distribution_mc(
         raise ParameterOutOfRange("samples must be >= 1")
     if r < 1:
         raise ParameterOutOfRange("radius must be >= 1")
-    oth_rate, anc_probs, mu_cum = _offspring_rates(g)
-    anc_cum = np.cumsum(anc_probs, axis=1)
-    rng = stream(seed)
-    k = g.k
-
-    blocks = np.minimum(
-        np.searchsorted(mu_cum, rng.random(samples), side="right"), k - 1
-    ).astype(np.int64)
-    anc_pos = np.arange(samples)  # ancestral particle position inside its generation
-    gen_blocks = [blocks]
-    gen_parents: list[np.ndarray] = [np.full(samples, -1, dtype=np.int64)]
-    gen_anc: list[np.ndarray] = [anc_pos]
-
-    for _depth in range(r):
-        cur = gen_blocks[-1]
-        anc_idx = gen_anc[-1]
-        u = rng.random(samples)
-        rows = anc_cum[cur[anc_idx]]
-        anc_child_block = (u[:, None] > rows).sum(axis=1).astype(np.int64)
-        counts = rng.poisson(oth_rate[cur])  # (P, k)
-        oth_parent = np.repeat(np.arange(len(cur)), counts.sum(axis=1))
-        oth_block = np.repeat(np.tile(np.arange(k), len(cur)), counts.reshape(-1))
-        child_parent = np.concatenate([anc_idx, oth_parent])
-        child_block = np.concatenate([anc_child_block, oth_block])
-        order = np.argsort(child_parent, kind="stable")
-        child_parent = child_parent[order]
-        child_block = child_block[order]
-        # every generation stays sorted by sample id, so the ancestral children
-        # (pre-sort indices < samples) appear in sample order after the sort
-        anc_positions = np.flatnonzero(order < samples)
-        gen_blocks.append(child_block)
-        gen_parents.append(child_parent)
-        gen_anc.append(anc_positions)
-
+    sizes, gen_parents = _sample_generations(g, r, samples, stream(seed))
     interner = CodeInterner()
-    codes = np.zeros(len(gen_blocks[r]), dtype=np.int64)  # depth-r particles are leaves
+    codes = np.zeros(sizes[r], dtype=np.int64)  # depth-r particles are leaves
     for depth in range(r - 1, -1, -1):
-        child_parent = gen_parents[depth + 1]
-        child_codes = codes
-        parent_count = len(gen_blocks[depth])
-        counts = np.bincount(child_parent, minlength=parent_count)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        new_codes = np.empty(parent_count, dtype=np.int64)
-        lst = child_codes.tolist()
-        intern = interner.intern
-        for p in range(parent_count):
-            lo, hi = offsets[p], offsets[p + 1]
-            new_codes[p] = intern(tuple(sorted(lst[lo:hi])))
-        codes = new_codes
+        codes = _intern_generation(interner, gen_parents.pop(), codes, sizes[depth])
 
-    tally = Counter(codes.tolist())
     out = {}
-    for cid, cnt in sorted(tally.items()):
+    cids, cnts = np.unique(codes, return_counts=True)
+    for cid, cnt in zip(cids.tolist(), cnts.tolist()):
         p = cnt / samples
         out[interner.to_code(cid)] = (p, math.sqrt(p * (1.0 - p) / samples))
     return out
@@ -153,8 +203,8 @@ def root_degree_distribution(g: StepGraphon, k_max: int) -> tuple[np.ndarray, fl
     g.require_nondegenerate()
     b = g.block_b
     probs = np.zeros(k_max)
-    for k in range(1, k_max + 1):
-        probs[k - 1] = float(
-            np.dot(g.mu, np.exp(-b) * b ** (k - 1) / math.factorial(k - 1))
-        )
+    term = np.exp(-b)  # e^{-b_i} b_i^{k-1} / (k-1)! as a running product
+    for k in range(k_max):
+        probs[k] = float(np.dot(g.mu, term))
+        term = term * b / (k + 1)
     return probs, float(1.0 - probs.sum())

@@ -34,7 +34,10 @@ def degree_density_bound(k: int) -> DegreeBound:
         return DegreeBound(1, "lower", math.exp(-1.0))
     if k == 2:
         return DegreeBound(2, "upper", math.exp(-1.0))
-    value = (k - 2) ** (k - 2) / (math.factorial(k - 1) * math.e ** (k - 2))
+    try:
+        value = (k - 2) ** (k - 2) / (math.factorial(k - 1) * math.e ** (k - 2))
+    except OverflowError as exc:
+        raise NumericError(f"degree {k}: the bound overflows a float") from exc
     return DegreeBound(k, "upper", value)
 
 
@@ -140,8 +143,11 @@ def optimize_lemma_max(k: int, tol: float = 1e-9) -> float:
     ((k-1)/e)^{k-1} within tol, cross-checked by the gradient oracle first."""
     if k < 2:
         raise InvalidDegree(f"k = {k} < 2")
+    try:
+        primary = _golden_max(k, 0.0, max(3.0 * k, 6.0))
+    except OverflowError as exc:
+        raise NumericError(f"k = {k}: the envelope overflows a float") from exc
     oracle = n_point_gradient_oracle(k)
-    primary = _golden_max(k, 0.0, max(3.0 * k, 6.0))
     if abs(oracle - primary) > 10 * max(tol, 1e-12):
         raise NumericError(
             f"oracle {oracle!r} and golden-section {primary!r} disagree beyond 10*tol"
@@ -152,7 +158,10 @@ def optimize_lemma_max(k: int, tol: float = 1e-9) -> float:
 def closed_form_max(k: int) -> float:
     if k < 2:
         raise InvalidDegree(f"k = {k} < 2")
-    return ((k - 1) / math.e) ** (k - 1)
+    try:
+        return ((k - 1) / math.e) ** (k - 1)
+    except OverflowError as exc:
+        raise NumericError(f"k = {k}: the maximum overflows a float") from exc
 
 
 def sharpness_graph(n: int, k: int, alpha: float, seed: int) -> MultiGraph:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from ustlocal import branching
 from ustlocal.branching import (
     root_ball_distribution_mc,
     root_degree_distribution,
@@ -13,11 +14,17 @@ from ustlocal.branching import (
 )
 from ustlocal.errors import DegenerateGraphon, ParameterOutOfRange
 from ustlocal.graphon import StepGraphon, constant_graphon
+from ustlocal.rng import stream
+
+from branching_oracle import intern_generation_oracle, sample_generations_oracle
 
 
 W1 = constant_graphon(1.0)
 W2 = StepGraphon(np.array([0.5, 0.5]), np.array([[1.0, 0.5], [0.5, 1.0]]))
 W3 = StepGraphon(np.array([0.25, 0.75]), np.array([[0.9, 0.2], [0.2, 0.6]]))
+W_BALL = StepGraphon(
+    np.array([0.2, 0.3, 0.5]), np.array([[0.9, 0.5, 0.2], [0.5, 0.6, 0.3], [0.2, 0.3, 0.8]])
+)
 BLOCK_DIAG = StepGraphon(np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 0.6]]))
 
 
@@ -128,3 +135,53 @@ def test_mc_parameter_checks():
         root_ball_distribution_mc(W1, 1, 0, seed=1)
     with pytest.raises(ParameterOutOfRange):
         root_degree_distribution(W1, 0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("g,samples,seed", [(W2, 3000, 5), (W_BALL, 2000, 11), (W1, 17, 2)])
+def test_mc_matches_parent_by_parent_interning(monkeypatch, g, r, samples, seed):
+    law = root_ball_distribution_mc(g, r, samples, seed)
+    monkeypatch.setattr(branching, "_intern_generation", intern_generation_oracle)
+    want = root_ball_distribution_mc(g, r, samples, seed)
+    assert list(law.items()) == list(want.items())  # same ids, so the same key order
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+@pytest.mark.parametrize("g,samples,seed", [(W2, 3000, 5), (W_BALL, 2000, 11), (W1, 17, 2)])
+def test_generations_match_stable_sort(g, r, samples, seed):
+    sizes, parents = branching._sample_generations(g, r, samples, stream(seed))
+    want_sizes, want_parents = sample_generations_oracle(g, r, samples, stream(seed))
+    assert sizes == want_sizes
+    assert len(parents) == len(want_parents) == r
+    for got, want in zip(parents, want_parents):
+        np.testing.assert_array_equal(got, want)
+
+
+class _TopDraws:
+    """Every uniform draw is the largest double below 1, and no other children."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+    def poisson(self, lam):
+        return np.zeros(np.shape(lam), dtype=np.int64)
+
+
+def test_mc_ancestral_draw_clamped_to_last_block(monkeypatch):
+    # block 2's cumulative ancestral row ends two ulps below 1.0, so the
+    # largest uniform draw lies above every threshold of it
+    g = StepGraphon(np.array([0.2, 0.3, 0.5]),
+                    np.array([[0.1, 0.1, 0.1], [0.1, 0.1, 0.9], [0.1, 0.9, 0.6]]))
+    _oth, anc_cum, _mu = branching._offspring_rates(g)
+    assert anc_cum[2, -1] < np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(branching, "stream", lambda seed: _TopDraws())
+    law = root_ball_distribution_mc(g, 3, 4, seed=0)
+    assert law == {"(4:(3:(2:(1:))))": (1.0, 0.0)}
+
+
+def test_root_degree_distribution_deep_tail():
+    probs, tail = root_degree_distribution(W1, 200)
+    for k in range(1, 21):
+        assert probs[k - 1] == pytest.approx(math.exp(-1) / math.factorial(k - 1), abs=1e-12)
+    assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
+    assert probs.sum() + tail == pytest.approx(1.0, abs=1e-12)

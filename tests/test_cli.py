@@ -358,6 +358,14 @@ def test_extremal_nonpositive_k_max_exit_code(capsys, k_max):
     assert json.loads(captured.err)["error"] == "ParameterOutOfRange"
 
 
+@pytest.mark.parametrize("k_max", ["14", "140", "146", "1000"])
+def test_extremal_large_k_max_exit_code(capsys, k_max):
+    assert main(["extremal", "--k-max", k_max]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NumericError"
+
+
 def test_walk_one_vertex_exit_code(tmp_path, capsys):
     one = tmp_path / "one.txt"
     one.write_text("1 0\n")

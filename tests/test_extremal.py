@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ustlocal.errors import InvalidDegree
+from ustlocal.errors import InvalidDegree, NumericError
 from ustlocal.extremal import (
     closed_form_max,
     degree_density_bound,
@@ -30,6 +30,16 @@ def test_bound_rejects_zero():
         degree_density_bound(0)
     with pytest.raises(InvalidDegree):
         optimize_lemma_max(1)
+
+
+def test_float_overflow_is_numeric_error():
+    # the first k at which each quantity leaves the float range
+    with pytest.raises(NumericError):
+        degree_density_bound(146)
+    with pytest.raises(NumericError):
+        closed_form_max(173)
+    with pytest.raises(NumericError):
+        optimize_lemma_max(130)
 
 
 def test_optimizer_matches_closed_form():

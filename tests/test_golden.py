@@ -39,10 +39,14 @@ CASES = [
                       "--seed", "6"]),
     ("ust_r0.jsonl", ["ust", "--graph", "gen.txt", "--radius", "0", "--samples", "2",
                       "--seed", "8"]),
+    ("branching_d1.csv", ["branching", "--graphon", "two_block.json", "--depth", "1",
+                          "--samples", "20000", "--seed", "3"]),
     ("branching_d2.csv", ["branching", "--graphon", "two_block.json", "--depth", "2",
                           "--samples", "20000", "--seed", "4"]),
     ("branching_d3.csv", ["branching", "--graphon", "two_block.json", "--depth", "3",
                           "--samples", "20000", "--seed", "6"]),
+    ("branching_d4.csv", ["branching", "--graphon", "two_block.json", "--depth", "4",
+                          "--samples", "1000", "--seed", "8"]),
     ("count_trees.json", ["count-trees", "--graph", "gen.txt", "--graphon", "two_block.json"]),
     ("decompose.json", ["decompose", "--graph", "gen.txt", "--gamma", "0.3", "--eta", "0.3",
                         "--eps", "0.2"]),
