@@ -8,6 +8,11 @@ verification report, not the construction, carries the correctness contract.
 All O(.)/Omega(.) constants from the goodness and bigness definitions are
 explicit inputs defaulting to 1, except the big-part edge-density constant
 c_f which defaults to 0.4 so that a complete graph qualifies as big.
+
+Goodness, bigness, the (G2) boundaries and the cleaning peel all sum over
+the neighbours of a vertex in its own part (as does the discrete b vector
+of `freq`); `MultiGraph.same_part_sums` is the one routine that computes
+such a sum.
 """
 from __future__ import annotations
 
@@ -184,32 +189,30 @@ def _clean_cluster(
     Cheap single-vertex strips run to exhaustion before each spectral sweep
     search.  Returns (kept, stripped).
     """
-    n = G.n
-    alive = list(cluster)
+    alive = np.asarray(cluster, dtype=np.int64)
+    ones = np.ones(G.n)
     stripped: list[int] = []
     while True:
         # peel vertices whose internal degree alone witnesses a violation
-        changed = True
-        while changed and len(alive) > 2:
-            changed = False
-            mask = np.zeros(n, dtype=bool)
-            mask[alive] = True
-            internal = np.array([G.degree_into(v, mask) for v in alive])
+        while len(alive) > 2:
+            in_alive = np.zeros(G.n, dtype=np.int64)
+            in_alive[alive] = 1
+            internal = G.same_part_sums(in_alive, ones)[alive]
             worst = int(np.argmin(internal))
-            if internal[worst] < gamma * (len(alive) - 1):
-                stripped.append(alive.pop(worst))
-                changed = True
+            if internal[worst] >= gamma * (len(alive) - 1):
+                break
+            stripped.append(int(alive[worst]))
+            alive = np.delete(alive, worst)
         if len(alive) <= 2:
             break
         sub, _ = G.induced_subgraph(alive)
         found = _first_violating_prefix(sub, gamma)
         if found is None:
             break
-        alive_arr = np.array(alive)
-        taken = alive_arr[found]
-        stripped.extend(int(x) for x in taken)
-        alive = [int(x) for x in np.setdiff1d(alive_arr, taken)]
-    return np.array(sorted(alive), dtype=np.int64), np.array(sorted(stripped), dtype=np.int64)
+        taken = alive[found]
+        stripped.extend(taken.tolist())
+        alive = np.setdiff1d(alive, taken)
+    return np.sort(alive), np.array(sorted(stripped), dtype=np.int64)
 
 
 def expander_decompose(
@@ -282,18 +285,11 @@ def verify_decomposition(G: MultiGraph, dec: ExpanderDecomposition) -> Verificat
     g1_budget = dec.eps * n
     g1_ok = residual <= g1_budget + 1e-9
 
-    g2_checks = []
-    g2_ok = True
-    for i in range(1, dec.k + 1):
-        part = np.flatnonzero(dec.labels == i)
-        mask = np.zeros(n, dtype=bool)
-        mask[part] = True
-        internal = sum(G.degree_into(int(v), mask) for v in part)
-        boundary = int(G.degrees[part].sum()) - internal
-        budget = dec.eta * len(part) * n
-        if boundary > budget + 1e-9:
-            g2_ok = False
-        g2_checks.append((i, boundary, budget))
+    deg_in = G.same_part_sums(dec.labels, np.ones(n))
+    boundaries = np.bincount(dec.labels, weights=G.degrees - deg_in, minlength=dec.k + 1)
+    sizes = np.bincount(dec.labels, minlength=dec.k + 1)
+    g2_checks = [(i, int(boundaries[i]), dec.eta * int(sizes[i]) * n) for i in range(1, dec.k + 1)]
+    g2_ok = all(boundary <= budget + 1e-9 for (_i, boundary, budget) in g2_checks)
 
     g3_checks = []
     g3_ok = True
@@ -342,6 +338,18 @@ class GoodnessReport:
         return np.flatnonzero(self.good)
 
 
+def _constants(defaults: dict, given: dict | None, kind: str) -> dict:
+    """The defaults updated by the given constants; unknown keys and values <= 0 raise."""
+    given = given or {}
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ParameterOutOfRange(f"unknown {kind} constant {unknown[0]!r}; known: {sorted(defaults)}")
+    consts = {**defaults, **given}
+    if any(v <= 0 for v in consts.values()):
+        raise ParameterOutOfRange(f"{kind} constants must be positive")
+    return consts
+
+
 def good_vertices(
     G: MultiGraph,
     dec: ExpanderDecomposition,
@@ -352,47 +360,28 @@ def good_vertices(
     """Flag (alpha, eps)-good vertices: conditions (a)-(d) against own part."""
     if not (0.0 < alpha) or not (0.0 < eps):
         raise ParameterOutOfRange("alpha and eps must be positive")
-    consts = dict(GOOD_CONSTANT_DEFAULTS)
-    if constants:
-        consts.update(constants)
-    if any(v <= 0 for v in consts.values()):
-        raise ParameterOutOfRange("goodness constants must be positive")
-    if len(dec.labels) != G.n:
-        raise PartitionMismatch(f"{len(dec.labels)} labels for {G.n} vertices")
+    consts = _constants(GOOD_CONSTANT_DEFAULTS, constants, "goodness")
 
-    n = G.n
     deg = G.degrees.astype(np.float64)
     labels = dec.labels
-    nbrs, mults = G.adjacency_lists()
-
-    deg_in = np.zeros(n)
-    for v in range(n):
-        a = nbrs[v]
-        if len(a):
-            deg_in[v] = mults[v][labels[a] == labels[v]].sum()
-
-    conditions = np.zeros((n, 4), dtype=bool)
-    good = np.zeros(n, dtype=bool)
-    thr_a = consts["c_a"] * eps * n
-    thr_b = 1.0 - consts["c_b"] * eps**2
-    thr_c = consts["c_c"] * alpha**0.5
-    thr_d = consts["c_d"] * alpha**-0.25
-    for v in range(n):
-        if labels[v] == 0 or deg[v] == 0:
-            continue
-        a = nbrs[v]
-        same = labels[a] == labels[v]
-        m_same = mults[v][same].astype(np.float64)
-        u_same = a[same]
-        cond_a = deg[v] >= thr_a
-        cond_b = deg_in[v] >= thr_b * deg[v]
-        # neighbors inside the part always have deg_in >= mult(u, v) >= 1
-        sum_c = float((m_same * (1.0 / deg_in[u_same] - 1.0 / deg[u_same])).sum()) if len(u_same) else 0.0
-        sum_d = float((m_same / deg_in[u_same]).sum()) if len(u_same) else 0.0
-        cond_c = sum_c <= thr_c + 1e-12
-        cond_d = sum_d <= thr_d + 1e-12
-        conditions[v] = (cond_a, cond_b, cond_c, cond_d)
-        good[v] = cond_a and cond_b and cond_c and cond_d
+    deg_in = G.same_part_sums(labels, np.ones(G.n))
+    # a same-part neighbour u has deg_in[u] >= mult(u, v) >= 1, so the
+    # placeholder 1.0 only stands in for vertices that no sum reads
+    inv_in = 1.0 / np.where(deg_in > 0, deg_in, 1.0)
+    inv_deg = 1.0 / np.where(deg > 0, deg, 1.0)
+    sum_c = G.same_part_sums(labels, inv_in - inv_deg)
+    sum_d = G.same_part_sums(labels, inv_in)
+    conditions = np.stack(
+        [
+            deg >= consts["c_a"] * eps * G.n,
+            deg_in >= (1.0 - consts["c_b"] * eps**2) * deg,
+            sum_c <= consts["c_c"] * alpha**0.5 + 1e-12,
+            sum_d <= consts["c_d"] * alpha**-0.25 + 1e-12,
+        ],
+        axis=1,
+    )
+    conditions &= ((labels != 0) & (deg > 0))[:, None]
+    good = conditions.all(axis=1)
     return GoodnessReport(alpha=alpha, eps=eps, constants=consts, conditions=conditions, good=good)
 
 
@@ -403,10 +392,8 @@ def big_parts(
     constants: dict | None = None,
 ) -> set[int]:
     """Parts with a dominant good fraction and a dense interior."""
-    consts = dict(BIG_CONSTANT_DEFAULTS)
-    if constants:
-        consts.update(constants)
-    n = G.n
+    consts = _constants(BIG_CONSTANT_DEFAULTS, constants, "bigness")
+    deg_in = G.same_part_sums(dec.labels, np.ones(G.n))
     alpha = report.alpha
     big: set[int] = set()
     for i in range(1, dec.k + 1):
@@ -414,12 +401,11 @@ def big_parts(
         if len(part) == 0:
             continue
         good_frac = float(report.good[part].mean())
-        mask = np.zeros(n, dtype=bool)
-        mask[part] = True
-        internal_edges = sum(G.degree_into(int(v), mask) for v in part) // 2
+        internal_edges = int(deg_in[part].sum()) // 2
         frac_ok = good_frac >= 1.0 - consts["c_e"] * alpha ** (1.0 / 8.0)
-        dens_ok = internal_edges >= consts["c_f"] * alpha ** (1.0 / 9.0) * len(part) * n
+        dens_ok = internal_edges >= consts["c_f"] * alpha ** (1.0 / 9.0) * len(part) * G.n
         if frac_ok and dens_ok:
             big.add(i)
     report.big = big
     return big
+

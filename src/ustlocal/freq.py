@@ -276,19 +276,10 @@ def _discrete_sum(
     return total, int(round(count)), "mobius"
 
 
-def _part_b_vector(G: MultiGraph, labels: np.ndarray) -> np.ndarray:
+def _b_vector(G: MultiGraph, labels: np.ndarray) -> np.ndarray:
     """b(v) = sum over edges vu with u in v's own part of 1/deg(u)."""
     deg = G.degrees.astype(np.float64)
-    safe = np.where(deg > 0, deg, 1.0)
-    A = G.adjacency_matrix()
-    same = labels[:, None] == labels[None, :]
-    return (A * same) @ (1.0 / safe)
-
-
-def _global_b_vector(G: MultiGraph) -> np.ndarray:
-    deg = G.degrees.astype(np.float64)
-    safe = np.where(deg > 0, deg, 1.0)
-    return G.adjacency_matrix() @ (1.0 / safe)
+    return G.same_part_sums(labels, 1.0 / np.where(deg > 0, deg, 1.0))
 
 
 # -- discrete operations ---------------------------------------------------------------
@@ -319,7 +310,7 @@ def freq_graph_component(
     if part_size == 0 or not allowed.any():
         return FreqReport(0.0, {i: 0.0}, 0, stab, method)
     presence = (G.adjacency_matrix() > 0).astype(np.float64)
-    expb = np.exp(-_part_b_vector(G, labels))
+    expb = np.exp(-_b_vector(G, labels))
     total, count, used = _discrete_sum(G, allowed, presence, expb, p, ell, edges, method, budget)
     value = total / (stab * part_size)
     return FreqReport(value=value, terms={i: value}, tuple_count=count, stab=stab, method=used)
@@ -378,7 +369,7 @@ def freq_minus(
     for (u, v) in E0:
         presence[u, v] = 0.0
         presence[v, u] = 0.0
-    expb = np.exp(-_global_b_vector(G))
+    expb = np.exp(-_b_vector(G, np.zeros(G.n, dtype=np.int64)))
     total, count, used = _discrete_sum(G, allowed, presence, expb, p, ell, edges, method, budget)
     value = total / (stab * G.n)
     return FreqReport(value=value, terms={}, tuple_count=count, stab=stab, method=used)

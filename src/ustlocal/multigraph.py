@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     EdgeNotInGraph,
     LoopEdge,
+    PartitionMismatch,
     TooLargeForExactCheck,
     VertexOutOfRange,
     ZeroMultiplicity,
@@ -304,13 +305,17 @@ class MultiGraph:
         backward = in_a[self.v] & in_b[self.u]
         return int(self.mult[forward].sum() + self.mult[backward].sum())
 
-    def degree_into(self, v: int, mask: np.ndarray) -> int:
-        """deg(v, A) for a boolean membership mask A."""
-        nbrs, mults = self.adjacency_lists()
-        if not (0 <= v < self.n):
-            raise VertexOutOfRange(f"vertex {v}")
-        a = nbrs[v]
-        return int(mults[v][mask[a]].sum()) if len(a) else 0
+    def same_part_sums(self, labels, values) -> np.ndarray:
+        """For every v, the sum of mult(u, v) * values[u] over the neighbours u
+        with labels[u] == labels[v]: one bincount per side of the same-label pairs."""
+        labels = np.asarray(labels)
+        values = np.asarray(values, dtype=np.float64)
+        if len(labels) != self.n or len(values) != self.n:
+            raise PartitionMismatch(f"{len(labels)} labels and {len(values)} values for {self.n} vertices")
+        same = labels[self.u] == labels[self.v]
+        u, v, m = self.u[same], self.v[same], self.mult[same]
+        out = np.bincount(u, weights=m * values[v], minlength=self.n)
+        return out + np.bincount(v, weights=m * values[u], minlength=self.n)
 
     # -- editing --------------------------------------------------------------
 

@@ -75,6 +75,15 @@ class DictGraph:
             total += m * ((u in A and v in B) + (v in A and u in B))
         return total
 
+    def same_part_sums(self, labels, values):
+        """For every v, sum of mult(u, v) * values[u] over neighbours u in v's part."""
+        out = [0] * self.n
+        for (u, v), m in self.mult.items():
+            if labels[u] == labels[v]:
+                out[u] += m * values[v]
+                out[v] += m * values[u]
+        return out
+
     def _roots(self, pairs):
         parent = list(range(self.n))
 

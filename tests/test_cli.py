@@ -358,7 +358,16 @@ def test_extremal_nonpositive_k_max_exit_code(capsys, k_max):
     assert json.loads(captured.err)["error"] == "ParameterOutOfRange"
 
 
-@pytest.mark.parametrize("k_max", ["14", "140", "146", "1000"])
+def test_extremal_k_max_14_matches_closed_form(capsys):
+    # the maximum is about 7e8 at k = 14, so the oracle cross-check is relative
+    assert main(["extremal", "--k-max", "14"]) == 0
+    rows = json.loads(capsys.readouterr().out)["optimizer"]
+    assert [row["k"] for row in rows] == list(range(2, 15))
+    for row in rows:
+        assert row["max"] == pytest.approx(row["closed_form"], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k_max", ["140", "146", "1000"])
 def test_extremal_large_k_max_exit_code(capsys, k_max):
     assert main(["extremal", "--k-max", k_max]) == 4
     captured = capsys.readouterr()

@@ -171,6 +171,33 @@ def test_big_parts_mass_on_block_diagonal_sample():
     assert covered >= 0.95 * n
 
 
+def test_big_parts_labels_longer_than_graph():
+    K9 = complete_graph(9)
+    dec = trivial_decomposition(K9)
+    rep = good_vertices(K9, dec, alpha=0.5, eps=0.1)
+    with pytest.raises(PartitionMismatch):
+        big_parts(complete_graph(6), dec, rep)
+
+
+@pytest.mark.parametrize("constants", [{"c_f": -1.0}, {"c_e": 0.0}])
+def test_big_parts_rejects_nonpositive_constant(constants):
+    G = complete_graph(10)
+    dec = trivial_decomposition(G)
+    rep = good_vertices(G, dec, alpha=0.5, eps=0.1)
+    with pytest.raises(ParameterOutOfRange):
+        big_parts(G, dec, rep, constants)
+
+
+def test_goodness_and_bigness_reject_unknown_constant():
+    G = complete_graph(10)
+    dec = trivial_decomposition(G)
+    with pytest.raises(ParameterOutOfRange, match="c_zz"):
+        good_vertices(G, dec, alpha=0.5, eps=0.1, constants={"c_zz": 1.0})
+    rep = good_vertices(G, dec, alpha=0.5, eps=0.1)
+    with pytest.raises(ParameterOutOfRange, match="c_zz"):
+        big_parts(G, dec, rep, {"c_f": 0.4, "c_zz": 1.0})
+
+
 def test_planted_labels_recovered():
     g = StepGraphon(np.array([0.5, 0.5]), np.array([[0.9, 0.0], [0.0, 0.9]]))
     G, planted = sample_w_random_graph(g, 300, seed=3)

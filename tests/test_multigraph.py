@@ -4,6 +4,7 @@ import pytest
 from ustlocal.errors import (
     EdgeNotInGraph,
     LoopEdge,
+    PartitionMismatch,
     TooLargeForExactCheck,
     VertexOutOfRange,
     ZeroMultiplicity,
@@ -77,14 +78,21 @@ def test_pair_count_symmetry(rng):
 
 
 def test_pair_count_degree_identity(rng):
-    # sum_{a in A} deg(a, B) = e(A, B)
+    # sum_{v in P} deg(v, P) = e(P, P)
     for _ in range(10):
         G = random_connected_graph(rng, 8, 0.5, max_mult=2)
-        A = [0, 2, 5]
-        B = [1, 2, 6, 7]
-        mask = np.zeros(8, dtype=bool)
-        mask[B] = True
-        assert sum(G.degree_into(a, mask) for a in A) == G.pair_count(A, B)
+        P = [1, 2, 6, 7]
+        in_p = np.zeros(8, dtype=np.int64)
+        in_p[P] = 1
+        assert G.same_part_sums(in_p, np.ones(8))[P].sum() == G.pair_count(P, P)
+
+
+def test_same_part_sums_length_mismatch():
+    G = complete_graph(6)
+    with pytest.raises(PartitionMismatch):
+        G.same_part_sums(np.zeros(9, dtype=np.int64), np.ones(6))
+    with pytest.raises(PartitionMismatch):
+        G.same_part_sums(np.zeros(6, dtype=np.int64), np.ones(5))
 
 
 def test_contract_triangle_edge():

@@ -80,6 +80,17 @@ def test_pair_count_matches_oracle(graph, data):
 
 
 @PROPERTY
+@given(multigraphs(), st.integers(0, 2), st.data())
+def test_same_part_sums_match_oracle(graph, isolated, data):
+    # extra vertices past n are isolated; integer values keep both sums exact
+    n, entries = graph
+    G, D = _both(n + isolated, entries)
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=G.n, max_size=G.n))
+    values = data.draw(st.lists(st.integers(-5, 5), min_size=G.n, max_size=G.n))
+    assert G.same_part_sums(np.array(labels), np.array(values)).tolist() == D.same_part_sums(labels, values)
+
+
+@PROPERTY
 @given(multigraphs(), st.data())
 def test_induced_subgraph_matches_oracle(graph, data):
     G, D = _both(*graph)
