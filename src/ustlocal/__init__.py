@@ -1,11 +1,6 @@
 """Local statistics of uniform spanning trees on dense graphs."""
 
-from .branching import (
-    root_ball_distribution_mc,
-    root_degree_distribution,
-    sample_kappa,
-    sample_kappa_particles,
-)
+from .branching import root_ball_distribution_mc, root_degree_distribution
 from .decompose import (
     ExpanderDecomposition,
     GoodnessReport,
@@ -57,8 +52,6 @@ from .trees import (
     degree_counts,
     enumerate_rooted_trees,
     local_census,
-    rooted_isomorphic,
-    truncate,
 )
 from .ust import (
     SpanningTree,

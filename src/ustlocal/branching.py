@@ -10,14 +10,13 @@ depth-r sample always has height exactly r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterOutOfRange
 from .graphon import StepGraphon
 from .rng import stream
-from .trees import CodeInterner, RootedTree
+from .trees import CodeInterner
 
 
 def _offspring_rates(g: StepGraphon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -28,49 +27,6 @@ def _offspring_rates(g: StepGraphon) -> tuple[np.ndarray, np.ndarray, np.ndarray
     oth_rate = g.W * g.mu[None, :] / d[None, :]  # row i: intensity of block-j others
     anc_probs = g.W * g.mu[None, :] / d[:, None]  # rows sum to 1
     return oth_rate, np.cumsum(anc_probs, axis=1), np.cumsum(g.mu)
-
-
-@dataclass
-class KappaParticle:
-    kind: str  # "anc" or "oth"
-    block: int
-    parent: int  # index into the particle list, -1 for the root
-    depth: int
-
-
-def sample_kappa_particles(g: StepGraphon, r: int, seed: int) -> list[KappaParticle]:
-    """First r generations as an explicit particle list (root first, BFS order)."""
-    if r < 0:
-        raise ParameterOutOfRange("depth must be >= 0")
-    oth_rate, anc_cum, mu_cum = _offspring_rates(g)
-    rng = stream(seed)
-    root_block = int(np.searchsorted(mu_cum, rng.random(), side="right"))
-    root_block = min(root_block, g.k - 1)
-    particles = [KappaParticle("anc", root_block, -1, 0)]
-    frontier = [0]
-    for depth in range(r):
-        next_frontier = []
-        for idx in frontier:
-            p = particles[idx]
-            if p.kind == "anc":
-                u = rng.random()
-                child_block = int(np.searchsorted(anc_cum[p.block], u, side="right"))
-                child_block = min(child_block, g.k - 1)
-                particles.append(KappaParticle("anc", child_block, idx, depth + 1))
-                next_frontier.append(len(particles) - 1)
-            counts = rng.poisson(oth_rate[p.block])
-            for j in range(g.k):
-                for _ in range(int(counts[j])):
-                    particles.append(KappaParticle("oth", j, idx, depth + 1))
-                    next_frontier.append(len(particles) - 1)
-        frontier = next_frontier
-    return particles
-
-
-def sample_kappa(g: StepGraphon, r: int, seed: int) -> RootedTree:
-    """Depth-r prefix of the branching process as a rooted tree (blocks discarded)."""
-    particles = sample_kappa_particles(g, r, seed)
-    return RootedTree([p.parent for p in particles])
 
 
 def _sample_generations(

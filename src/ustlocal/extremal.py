@@ -104,14 +104,20 @@ def _best_weights(y: np.ndarray, f: np.ndarray) -> tuple[float, np.ndarray]:
     return best, best_w
 
 
+def _power_exp(y: np.ndarray, k: int) -> np.ndarray:
+    """e^{-y} y^k as exp(k log y - y), finite wherever the product is; y**k
+    alone overflows once k log y > 709.  y = 0 is clamped to 1e-300."""
+    return np.exp(k * np.log(np.maximum(y, 1e-300)) - y)
+
+
 def _envelope_vec(y: np.ndarray, k: int) -> np.ndarray:
     lam = np.minimum(1.0, 1.0 / np.maximum(y, 1e-300))
-    return lam * np.exp(-y) * y**k
+    return lam * _power_exp(y, k)
 
 
 def _envelope_grad(y: np.ndarray, k: int) -> np.ndarray:
-    below = np.exp(-y) * y ** (k - 1) * (k - y)  # weight 1 branch, y <= 1
-    above = np.exp(-y) * y ** (k - 2) * (k - 1 - y)  # weight 1/y branch
+    below = _power_exp(y, k - 1) * (k - y)  # weight 1 branch, y <= 1
+    above = _power_exp(y, k - 2) * (k - 1 - y)  # weight 1/y branch
     return np.where(y <= 1.0, below, above)
 
 
@@ -134,7 +140,7 @@ def n_point_gradient_oracle(
         improved = _envelope_vec(y_new, k) >= vals
         y = np.where(improved, y_new, y)
         step = np.where(improved, np.minimum(step * 1.3, 4.0), step * 0.4)
-    value, _w = _best_weights(y, np.exp(-y) * y**k)
+    value, _w = _best_weights(y, _power_exp(y, k))
     return float(max(value, _envelope_vec(y, k).max()))
 
 

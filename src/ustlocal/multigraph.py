@@ -405,35 +405,29 @@ class MultiGraph:
 
     @classmethod
     def from_edge_list_text(cls, text: str) -> "MultiGraph":
-        """Parse the edge-list format; blank lines are ignored.
+        """Parse the edge-list format.
 
-        A malformed file (wrong token counts, a token that is not an integer,
-        a line count that disagrees with the header) raises VertexOutOfRange.
+        Grammar: ASCII text of whitespace-separated decimal integers, one
+        record per line, blank lines ignored.  The first record is the header
+        "n m"; then come exactly m edge records "u v" or "u v mult" (mult
+        defaults to 1; repeated and reversed pairs accumulate).
+
+        Errors, in the order they are checked: an empty file, a header that is
+        not two tokens, an edge-line count that differs from m, an edge line
+        that is not two or three tokens, a token that is not an integer (all
+        VertexOutOfRange); then, per edge in file order, a loop (LoopEdge), an
+        endpoint outside 0..n-1 (VertexOutOfRange) or a multiplicity below 1
+        (ZeroMultiplicity), as in `from_arrays`.
+
+        Files of plain digits, spaces, tabs and newlines are read by a few
+        numpy passes over the bytes; any other text, and any file the fast
+        path finds malformed, goes to the line-by-line reader, which is the
+        only place parse errors are raised.
         """
-        lines = text.splitlines()
-        widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-        rows = np.flatnonzero(widths)
-        if not len(rows):
-            raise VertexOutOfRange("empty edge-list file")
-        widths = widths[rows]
-        if widths[0] != 2:
-            raise VertexOutOfRange(f"bad header {lines[rows[0]].strip()!r}, expected 'n m'")
-        bad = np.flatnonzero((widths[1:] < 2) | (widths[1:] > 3))
-        bad_line = lines[rows[int(bad[0]) + 1]].strip() if len(bad) else None
-        del lines  # the token list below is the larger one; do not hold both
-        tokens = text.split()
-        n, m = _parse_integers(tokens[:2], "header").tolist()
-        if len(rows) - 1 != m:
-            raise VertexOutOfRange(f"header promises {m} edge lines, found {len(rows) - 1}")
-        if bad_line is not None:
-            raise VertexOutOfRange(f"bad edge line {bad_line!r}")
-        values = _parse_integers(tokens[2:], "edge line")
-        del tokens
-        widths = widths[1:]
-        starts = np.cumsum(widths) - widths
-        u, v = values[starts], values[starts + 1]
-        mult = np.where(widths == 3, values[np.minimum(starts + 2, len(values) - 1)], 1)
-        return cls.from_arrays(n, u, v, mult)
+        parsed = _parse_edge_list_bytes(text)
+        if parsed is None:
+            parsed = _parse_edge_list_lines(text)
+        return cls.from_arrays(*parsed)
 
     # -- misc ----------------------------------------------------------------------
 
@@ -490,6 +484,91 @@ def _parse_integers(tokens: list[str], where: str) -> np.ndarray:
             except (ValueError, OverflowError):
                 raise VertexOutOfRange(f"{where} token {tok!r} is not an integer") from None
         raise
+
+
+def _parse_edge_list_lines(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, u, v, mult) of an edge-list file, one line and token at a time.
+
+    Accepts anything `str.split` and `int` accept (signs, `\\r`, form feeds)
+    and raises the errors `MultiGraph.from_edge_list_text` documents.
+    """
+    lines = text.splitlines()
+    widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    rows = np.flatnonzero(widths)
+    if not len(rows):
+        raise VertexOutOfRange("empty edge-list file")
+    widths = widths[rows]
+    if widths[0] != 2:
+        raise VertexOutOfRange(f"bad header {lines[rows[0]].strip()!r}, expected 'n m'")
+    bad = np.flatnonzero((widths[1:] < 2) | (widths[1:] > 3))
+    bad_line = lines[rows[int(bad[0]) + 1]].strip() if len(bad) else None
+    del lines  # the token list below is the larger one; do not hold both
+    tokens = text.split()
+    n, m = _parse_integers(tokens[:2], "header").tolist()
+    if len(rows) - 1 != m:
+        raise VertexOutOfRange(f"header promises {m} edge lines, found {len(rows) - 1}")
+    if bad_line is not None:
+        raise VertexOutOfRange(f"bad edge line {bad_line!r}")
+    values = _parse_integers(tokens[2:], "edge line")
+    del tokens
+    return (n, *_gather_edges(values, widths[1:]))
+
+
+# byte classes of the fast path: digits, and the separators it understands
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[ord("0"):ord("9") + 1] = True
+_PLAIN = _DIGIT.copy()
+_PLAIN[[ord(" "), ord("\t"), ord("\n")]] = True
+# 18 digits stay below 2**63; longer tokens go to the checked reader
+_MAX_DIGITS = 18
+
+
+def _parse_edge_list_bytes(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+    """(n, u, v, mult) of a well-formed file of digits, spaces, tabs and
+    newlines, by vectorized passes over its bytes; None for anything else.
+
+    Token starts are digits not preceded by a digit, and a line's width is
+    the number of token starts between its newlines.  The values come from one
+    `np.fromstring` call, whose count must match the token count.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if not _PLAIN[b].all():
+        return None
+    digit = _DIGIT[b]
+    starts = np.flatnonzero(digit & ~np.r_[False, digit[:-1]])
+    stops = np.flatnonzero(digit & ~np.r_[digit[1:], False]) + 1
+    del digit
+    if len(starts) and int((stops - starts).max()) > _MAX_DIGITS:
+        return None
+    # tokens before each newline, so the token count of every line
+    before = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))
+    widths = np.diff(before, prepend=0, append=len(starts))
+    del b, starts, stops, before
+    widths = widths[widths > 0]
+    if not len(widths) or widths[0] != 2:
+        return None
+    if not bool(((widths[1:] == 2) | (widths[1:] == 3)).all()):
+        return None
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    del raw
+    # fromstring stops without an error at data it cannot read
+    if len(values) != int(widths.sum()):
+        return None
+    n, m = values[:2].tolist()
+    if m != len(widths) - 1:
+        return None
+    return (n, *_gather_edges(values[2:], widths[1:]))
+
+
+def _gather_edges(values: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u, v, mult from the concatenated edge-line values and each line's width (2 or 3)."""
+    starts = np.cumsum(widths) - widths
+    u, v = values[starts], values[starts + 1]
+    mult = np.where(widths == 3, values[np.minimum(starts + 2, len(values) - 1)], 1)
+    return u, v, mult
 
 
 def read_edge_list(path) -> MultiGraph:

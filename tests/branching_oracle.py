@@ -1,13 +1,21 @@
-"""Reference forms of the branching Monte Carlo's two passes.
+"""Reference forms of the branching Monte Carlo.
 
 The direct statements of what `ustlocal.branching._sample_generations` and
 `_intern_generation` compute: each generation's children stably sorted by
 parent, and each parent's children ids, sorted, interned in parent order.
-Keep them simple rather than fast.
+`sample_kappa` draws one process particle by particle, the per-sample
+sampler that the vectorized pipeline is checked against.  Keep them simple
+rather than fast.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from ustlocal.branching import _offspring_rates
+from ustlocal.errors import ParameterOutOfRange
+from ustlocal.graphon import StepGraphon
+from ustlocal.rng import stream
+from ustlocal.trees import RootedTree
 
 
 def sample_generations_oracle(g, r, samples, rng):
@@ -42,3 +50,46 @@ def intern_generation_oracle(interner, child_parent, child_codes, parent_count):
     for p in range(parent_count):
         codes[p] = interner.intern(tuple(sorted(lst[offsets[p]:offsets[p + 1]])))
     return codes
+
+
+@dataclass
+class KappaParticle:
+    kind: str  # "anc" or "oth"
+    block: int
+    parent: int  # index into the particle list, -1 for the root
+    depth: int
+
+
+def sample_kappa_particles(g: StepGraphon, r: int, seed: int) -> list[KappaParticle]:
+    """First r generations as an explicit particle list (root first, BFS order)."""
+    if r < 0:
+        raise ParameterOutOfRange("depth must be >= 0")
+    oth_rate, anc_cum, mu_cum = _offspring_rates(g)
+    rng = stream(seed)
+    root_block = int(np.searchsorted(mu_cum, rng.random(), side="right"))
+    root_block = min(root_block, g.k - 1)
+    particles = [KappaParticle("anc", root_block, -1, 0)]
+    frontier = [0]
+    for depth in range(r):
+        next_frontier = []
+        for idx in frontier:
+            p = particles[idx]
+            if p.kind == "anc":
+                u = rng.random()
+                child_block = int(np.searchsorted(anc_cum[p.block], u, side="right"))
+                child_block = min(child_block, g.k - 1)
+                particles.append(KappaParticle("anc", child_block, idx, depth + 1))
+                next_frontier.append(len(particles) - 1)
+            counts = rng.poisson(oth_rate[p.block])
+            for j in range(g.k):
+                for _ in range(int(counts[j])):
+                    particles.append(KappaParticle("oth", j, idx, depth + 1))
+                    next_frontier.append(len(particles) - 1)
+        frontier = next_frontier
+    return particles
+
+
+def sample_kappa(g: StepGraphon, r: int, seed: int) -> RootedTree:
+    """Depth-r prefix of the branching process as a rooted tree (blocks discarded)."""
+    particles = sample_kappa_particles(g, r, seed)
+    return RootedTree([p.parent for p in particles])

@@ -6,17 +6,17 @@ import pytest
 import scipy.stats
 
 from ustlocal import branching
-from ustlocal.branching import (
-    root_ball_distribution_mc,
-    root_degree_distribution,
-    sample_kappa,
-    sample_kappa_particles,
-)
+from ustlocal.branching import root_ball_distribution_mc, root_degree_distribution
 from ustlocal.errors import DegenerateGraphon, ParameterOutOfRange
 from ustlocal.graphon import StepGraphon, constant_graphon
 from ustlocal.rng import stream
 
-from branching_oracle import intern_generation_oracle, sample_generations_oracle
+from branching_oracle import (
+    intern_generation_oracle,
+    sample_generations_oracle,
+    sample_kappa,
+    sample_kappa_particles,
+)
 
 
 W1 = constant_graphon(1.0)

@@ -9,7 +9,15 @@ from ustlocal.errors import (
     VertexOutOfRange,
     ZeroMultiplicity,
 )
-from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, forest_roots, path_graph
+from ustlocal.multigraph import (
+    MultiGraph,
+    _parse_edge_list_bytes,
+    complete_graph,
+    cycle_graph,
+    forest_roots,
+    path_graph,
+    read_edge_list,
+)
 
 from conftest import random_connected_graph
 
@@ -254,6 +262,22 @@ def test_edge_list_rejects_bad_index():
 def test_edge_list_rejects_non_integer_tokens(text):
     with pytest.raises(VertexOutOfRange):
         MultiGraph.from_edge_list_text(text)
+
+
+def test_edge_list_fallback_rows(tmp_path):
+    # a 20-digit token leaves int64: the checked reader names it
+    with pytest.raises(VertexOutOfRange, match="is not an integer"):
+        MultiGraph.from_edge_list_text("2 1\n0 99999999999999999999\n")
+    # a sign is not plain digits, so the line reader takes it, and int() accepts it
+    assert _parse_edge_list_bytes("2 1\n0 +1\n") is None
+    assert list(MultiGraph.from_edge_list_text("2 1\n0 +1\n").edges()) == [(0, 1, 1)]
+    empty = MultiGraph.from_edge_list_text("3 0\n")
+    assert (empty.n, empty.num_edges) == (3, 0)
+    text = "4 3\n0 1\n1 2 2\n\n2 3\n"
+    (tmp_path / "lf.txt").write_bytes(text.encode("ascii"))
+    (tmp_path / "crlf.txt").write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    G, H = read_edge_list(tmp_path / "lf.txt"), read_edge_list(tmp_path / "crlf.txt")
+    assert (H.n, list(H.edges())) == (G.n, list(G.edges())) == (4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
 
 
 def test_edge_list_errors_in_line_order():

@@ -1,11 +1,14 @@
 """Property tests: the array-backed MultiGraph against the dict oracle."""
+import re
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ustlocal.errors import UstlocalError
-from ustlocal.multigraph import MultiGraph
+from ustlocal.multigraph import MultiGraph, _parse_edge_list_bytes, _parse_edge_list_lines
 from ustlocal.walk import exact_cheeger
 
 from multigraph_oracle import DictGraph, same_graph
@@ -163,3 +166,89 @@ def test_subset_cut_table_matches_gray_code_oracle(graph):
     G, D = _both(*graph)
     assert G.exact_expansion() == D.exact_expansion()
     assert exact_cheeger(G) == D.exact_cheeger()
+
+
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+PADDING = st.sampled_from(["", "", " ", "\t", "  \t"])
+BAD_TOKENS = ["x", "1.5", "+1", "-1", "99999999999999999999", "1" + "0" * 18, "9" * 19, "\x0c", "\u00e9"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A multigraph's edge list in varied layout: runs of spaces and tabs,
+    padded lines, blank and whitespace-only lines, zero-padded integers,
+    explicit multiplicity 1, unsorted and repeated pairs, final newline or not."""
+    n, entries = draw(multigraphs())
+
+    def record(values):
+        tokens = ["0" * draw(st.integers(0, 2)) + str(x) for x in values]
+        body = "".join(tok + draw(SEPARATORS) for tok in tokens[:-1]) + tokens[-1]
+        return draw(PADDING) + body + draw(PADDING)
+
+    lines = [record([n, len(entries)])]
+    for u, v, m in entries:
+        lines.append(record([u, v, m] if m > 1 or draw(st.booleans()) else [u, v]))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(PADDING))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@st.composite
+def corrupted_edge_list_texts(draw):
+    """An edge-list text with one token dropped, added or replaced by a
+    malformed one, a form feed put in, or a wrong header edge count."""
+    text = draw(edge_list_texts())
+    tokens = list(re.finditer(r"\S+", text))
+    kind = draw(st.sampled_from(["drop", "add", "replace", "form feed", "header"]))
+    if kind == "header":
+        m = tokens[1]
+        return text[:m.start()] + str(int(m.group()) + draw(st.sampled_from([-1, 1]))) + text[m.end():]
+    if kind == "form feed":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + "\x0c" + text[at:]
+    tok = draw(st.sampled_from(tokens))
+    if kind == "drop":
+        return text[:tok.start()] + text[tok.end():]
+    if kind == "add":
+        return text[:tok.end()] + " " + draw(st.sampled_from(["7", *BAD_TOKENS])) + text[tok.end():]
+    return text[:tok.start()] + draw(st.sampled_from(BAD_TOKENS)) + text[tok.end():]
+
+
+def _parse_outcome(parse, text):
+    """(n, edges) of the parsed graph, or the type and message of the error."""
+    try:
+        G = parse(text)
+    except Exception as exc:  # noqa: BLE001 - every error must match, typed or not
+        return type(exc), str(exc)
+    return G.n, list(G.edges())
+
+
+def _fast_outcome(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _parse_outcome(MultiGraph.from_edge_list_text, text)
+
+
+def _lines_outcome(text):
+    return _parse_outcome(lambda t: MultiGraph.from_arrays(*_parse_edge_list_lines(t)), text)
+
+
+@PROPERTY
+@given(edge_list_texts())
+def test_byte_parser_matches_line_parser(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = _parse_edge_list_bytes(text)
+    assert fast is not None, "a file of digits, blanks and newlines must take the fast path"
+    slow = _parse_edge_list_lines(text)
+    assert fast[0] == slow[0] and type(fast[0]) is type(slow[0])
+    for got, ref in zip(fast[1:], slow[1:]):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert _fast_outcome(text) == _lines_outcome(text)
+
+
+@PROPERTY
+@given(corrupted_edge_list_texts())
+@example("2 1\n0 9999999999999999999\n")  # 19 digits, above 2**63: fromstring would clamp it
+def test_byte_parser_errors_match_line_parser(text):
+    assert _fast_outcome(text) == _lines_outcome(text)
