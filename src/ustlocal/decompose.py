@@ -187,9 +187,12 @@ def _clean_cluster(
     e(X, P\\X) < gamma |X| n, but triggering on the expansion-violating form
     keeps exact gamma-expanders (a complete graph at gamma = 1) intact.
     Cheap single-vertex strips run to exhaustion before each spectral sweep
-    search.  Returns (kept, stripped).
+    search.  Returns (kept, stripped).  The cluster is sorted first: the
+    sweep numbers the vertices of `induced_subgraph(alive)` in sorted order,
+    and ties in the peel then fall to the smallest vertex, so the result
+    does not depend on the cluster's order.
     """
-    alive = np.asarray(cluster, dtype=np.int64)
+    alive = np.sort(np.asarray(cluster, dtype=np.int64))
     ones = np.ones(G.n)
     stripped: list[int] = []
     while True:
@@ -212,7 +215,7 @@ def _clean_cluster(
         taken = alive[found]
         stripped.extend(taken.tolist())
         alive = np.setdiff1d(alive, taken)
-    return np.sort(alive), np.array(sorted(stripped), dtype=np.int64)
+    return alive, np.array(sorted(stripped), dtype=np.int64)
 
 
 def expander_decompose(

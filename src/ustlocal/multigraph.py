@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     EdgeNotInGraph,
     LoopEdge,
+    ParameterOutOfRange,
     PartitionMismatch,
     TooLargeForExactCheck,
     VertexOutOfRange,
@@ -23,6 +24,9 @@ from .errors import (
 )
 
 EXACT_EXPANDER_LIMIT = 20
+# the largest n with n * n < 2**63, so every pair key u * n + v fits an int64
+MAX_VERTICES = 3_037_000_499
+MAX_MULTIPLICITY = 2**63 - 1
 
 
 def _normalize_pair(u: int, v: int) -> tuple[int, int]:
@@ -91,14 +95,18 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
 
 
 def _csr_components(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Component labels of a symmetric CSR adjacency, numbered by smallest vertex."""
+    """Component labels of a symmetric CSR adjacency, numbered by smallest vertex.
+
+    On a symmetric adjacency the strong components are the connected ones,
+    and scipy finds them without building the transpose.
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    _count, raw = connected_components(adj, directed=False)
+    _count, raw = connected_components(adj, directed=True, connection="strong")
     _uniq, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(len(first))
@@ -116,6 +124,23 @@ def components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.arange(n, dtype=np.int64)
     indptr, indices, _weights = _symmetric_csr(n, u, v, np.ones_like(u))
     return _csr_components(n, indptr, indices)
+
+
+def _check_sums(m: np.ndarray, starts: np.ndarray, key: np.ndarray, n: int) -> None:
+    """Raise ParameterOutOfRange if a run m[starts[i]:starts[i + 1]] sums past MAX_MULTIPLICITY.
+
+    The terms are positive, so a float64 sum below 2**62 proves its run
+    fits; only the runs at or above it are summed exactly in Python.
+    """
+    near = np.flatnonzero(np.add.reduceat(m.astype(np.float64), starts) >= 2.0**62)
+    stops = np.r_[starts[1:], len(m)]
+    for i in near.tolist():
+        total = sum(m[starts[i]:stops[i]].tolist())
+        if total > MAX_MULTIPLICITY:
+            k = int(key[starts[i]])
+            raise ParameterOutOfRange(
+                f"multiplicity {total} of edge ({k // n},{k % n}) exceeds {MAX_MULTIPLICITY}"
+            )
 
 
 class MultiGraph:
@@ -146,11 +171,13 @@ class MultiGraph:
 
         Entries are checked in order and the first bad one raises: a loop
         (LoopEdge), then an endpoint outside 0..n-1 (VertexOutOfRange), then
-        a multiplicity below 1 (ZeroMultiplicity).
+        a multiplicity below 1 (ZeroMultiplicity).  A vertex count outside
+        0..MAX_VERTICES raises VertexOutOfRange, and a pair whose summed
+        multiplicity exceeds MAX_MULTIPLICITY raises ParameterOutOfRange.
         """
         n = int(n)
-        if n < 0:
-            raise VertexOutOfRange(f"negative vertex count {n}")
+        if not 0 <= n <= MAX_VERTICES:
+            raise VertexOutOfRange(f"vertex count {n} outside 0..{MAX_VERTICES}")
         u = np.asarray(u, dtype=np.int64).ravel()
         v = np.asarray(v, dtype=np.int64).ravel()
         m = np.ones(len(u), dtype=np.int64) if mult is None else np.array(mult, dtype=np.int64).ravel()
@@ -172,6 +199,7 @@ class MultiGraph:
             order = np.argsort(key, kind="stable")
             key, m = key[order], m[order]
             starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            _check_sums(m, starts, key, n)
             key, m = key[starts], np.add.reduceat(m, starts)
             a, b = key // n, key % n
         return cls(n, a, b, m)
@@ -395,13 +423,7 @@ class MultiGraph:
 
     def to_edge_list_text(self) -> str:
         """Header "n pairs", then one "u v" line per pair, "u v m" when m > 1."""
-        simple = self.mult == 1
-        line_format = "".join(map(("%d %d %d\n", "%d %d\n").__getitem__, simple.tolist()))
-        fields = np.stack([self.u, self.v, self.mult], axis=1)
-        present = np.ones(fields.shape, dtype=bool)
-        present[:, 2] = ~simple
-        body = line_format % tuple(fields[present].tolist())
-        return f"{self.n} {len(self.u)}\n" + body
+        return _edge_list_bytes(self).decode("ascii")
 
     @classmethod
     def from_edge_list_text(cls, text: str) -> "MultiGraph":
@@ -571,14 +593,63 @@ def _gather_edges(values: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, n
     return u, v, mult
 
 
+# a token is written as 4-digit chunks; the ASCII text "0000".."9999" of
+# every chunk is one uint32 word, so a chunk is written by one gather
+_CHUNK = 10_000
+_DIGIT_TEXT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_CHUNK_TEXT = np.stack(np.meshgrid(*[_DIGIT_TEXT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+# a token >= _POWERS[i] has at least i + 2 digits
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)
+# separator words: the byte and its print mask, padded to four bytes
+_SPACE, _NEWLINE, _FIRST = (np.array([c, 0, 0, 0], dtype=np.uint8).view(np.uint32)[0]
+                            for c in (ord(" "), ord("\n"), 1))
+
+
+def _edge_list_bytes(G: MultiGraph) -> bytes:
+    """The edge-list file of G as ASCII bytes, assembled by numpy passes.
+
+    Each line is a row of uint32 words: every token takes as many 4-digit
+    chunks as the column's largest value needs, right-aligned, then one
+    separator word.  A digit-count mask keeps a token's printed digits and
+    each separator's first byte; one boolean compress of the rows, read as
+    bytes, is the body.  Lines with multiplicity 1 end after v.
+    """
+    simple = G.mult == 1
+    columns = [G.u, G.v] if simple.all() else [G.u, G.v, G.mult]
+    words = [(len(str(int(col.max(initial=0)))) + 3) // 4 for col in columns]
+    rows = np.zeros((len(G.u), sum(words) + len(columns)), dtype=np.uint32)
+    keep = np.zeros(rows.shape, dtype=np.uint32)
+    at = 0
+    for col, k in zip(columns, words):
+        head = col
+        for j in range(k - 1, 0, -1):
+            head, low = np.divmod(head, _CHUNK)
+            rows[:, at + j] = _CHUNK_TEXT[low]
+        rows[:, at] = _CHUNK_TEXT[head]
+        digits = np.searchsorted(_POWERS, col, side="right") + 1
+        width = 4 * k
+        # row d of the table prints the last d of the 4k digit bytes
+        masks = (np.arange(width) >= width - np.arange(width + 1)[:, None]).view(np.uint32)
+        keep[:, at:at + k] = masks[digits]
+        rows[:, at + k], keep[:, at + k] = _SPACE, _FIRST
+        at += k + 1
+    rows[:, -1] = _NEWLINE
+    if len(columns) == 3:
+        v_end = words[0] + words[1] + 1
+        rows[simple, v_end] = _NEWLINE
+        keep[simple, v_end + 1:] = 0
+    body = rows.view(np.uint8)[keep.view(bool)]
+    return f"{G.n} {len(G.u)}\n".encode("ascii") + body.tobytes()
+
+
 def read_edge_list(path) -> MultiGraph:
     with open(path, "r", encoding="ascii") as fh:
         return MultiGraph.from_edge_list_text(fh.read())
 
 
 def write_edge_list(G: MultiGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(G.to_edge_list_text())
+    with open(path, "wb") as fh:
+        fh.write(_edge_list_bytes(G))
 
 
 def complete_graph(n: int) -> MultiGraph:

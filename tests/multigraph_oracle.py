@@ -2,7 +2,8 @@
 
 A direct, loop-by-loop statement of what `ustlocal.multigraph.MultiGraph`
 computes, used as the oracle of the property tests.  Keep it simple rather
-than fast.
+than fast.  The two functions at the end are the earlier, plainer array
+forms of the edge-list writer and the CSR build.
 """
 import numpy as np
 
@@ -178,3 +179,25 @@ def same_graph(G, D) -> bool:
     return G.n == D.n and list(G.edges()) == D.edges() and all(
         np.array_equal(a, b) for a, b in zip(G.adjacency_lists()[0], D.adjacency_lists()[0])
     )
+
+
+def percent_format_edge_list_text(G):
+    """The edge-list text of G, one "%d" per token through one format string."""
+    simple = G.mult == 1
+    line_format = "".join(map(("%d %d %d\n", "%d %d\n").__getitem__, simple.tolist()))
+    fields = np.stack([G.u, G.v, G.mult], axis=1)
+    present = np.ones(fields.shape, dtype=bool)
+    present[:, 2] = ~simple
+    body = line_format % tuple(fields[present].tolist())
+    return f"{G.n} {len(G.u)}\n" + body
+
+
+def argsort_symmetric_csr(n, u, v, w):
+    """(indptr, indices, weights) of the symmetric adjacency, by a stable int64 argsort of the rows."""
+    rows = np.concatenate([v, u])
+    order = np.argsort(rows, kind="stable")
+    indices = np.concatenate([u, v])[order]
+    weights = np.concatenate([w, w])[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices, weights

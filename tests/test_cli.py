@@ -223,6 +223,17 @@ def test_non_integer_edge_list_exit_code(workdir, capsys, text):
     assert json.loads(capsys.readouterr().err)["error"] == "VertexOutOfRange"
 
 
+@pytest.mark.parametrize("text,error", [
+    ("4000000000 2\n3000000000 3000000001\n0 1\n", "VertexOutOfRange"),
+    (f"3 2\n0 1 {2**62}\n1 0 {2**62}\n", "ParameterOutOfRange"),
+], ids=["vertex-count", "multiplicity-sum"])
+def test_int64_overflow_edge_list_exit_code(workdir, capsys, text, error):
+    bad = workdir / "big.txt"
+    bad.write_text(text)
+    assert main(["resistance", "--graph", str(bad), "--u", "0", "--v", "1"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 def test_negative_gen_size_exit_code(workdir, capsys):
     code = main(["gen", "--graphon", str(workdir / "const1.json"), "--n", "-3",
                  "--seed", "1", "--out", str(workdir / "neg.txt")])

@@ -3,6 +3,7 @@ import pytest
 
 from ustlocal.decompose import (
     ExpanderDecomposition,
+    _clean_cluster,
     _first_violating_prefix,
     big_parts,
     expander_decompose,
@@ -290,3 +291,16 @@ def test_cleaning_sweep_reaches_reversed_prefixes():
     got = _first_violating_prefix(sub, 0.2)
     assert got.tolist() == order[::-1][:2].tolist() == [0, 1]
     assert got.tolist() == _first_violating_prefix_by_pair_count(sub, 0.2).tolist()
+
+
+def test_cleaning_keeps_clique_of_reversed_cluster():
+    # cliques {0..7} and {8..11} joined by (i, i + 8), i < 4: the sweep
+    # strips the small clique whatever order the cluster arrives in
+    edges = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    edges += [(i, j) for i in range(8, 12) for j in range(i + 1, 12)]
+    edges += [(i, i + 8) for i in range(4)]
+    G = MultiGraph.build(12, edges)
+    for cluster in (np.arange(12), np.arange(12)[::-1]):
+        kept, stripped = _clean_cluster(G, cluster, 0.3)
+        assert kept.tolist() == list(range(8))
+        assert stripped.tolist() == list(range(8, 12))

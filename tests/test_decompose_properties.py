@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ustlocal.decompose import (
     GOOD_CONSTANT_DEFAULTS,
     ExpanderDecomposition,
+    _clean_cluster,
     good_vertices,
     verify_decomposition,
 )
@@ -55,3 +56,16 @@ def test_g2_boundaries_match_pair_count(graph):
         part = np.flatnonzero(labels == i)
         rest = np.flatnonzero(labels != i)
         assert boundary == G.pair_count(part, rest)
+
+
+@PROPERTY
+@given(labelled_multigraphs(), st.sampled_from([0.1, 0.3, 0.6, 0.9]), st.randoms(use_true_random=False))
+def test_cleaning_ignores_cluster_order(graph, gamma, random):
+    G, labels = graph
+    cluster = np.flatnonzero(labels == labels[0])
+    shuffled = cluster.copy()
+    random.shuffle(shuffled)
+    kept, stripped = _clean_cluster(G, cluster, gamma)
+    got_kept, got_stripped = _clean_cluster(G, shuffled, gamma)
+    assert got_kept.tolist() == kept.tolist() and got_stripped.tolist() == stripped.tolist()
+    assert sorted(kept.tolist() + stripped.tolist()) == cluster.tolist()

@@ -4,12 +4,15 @@ import pytest
 from ustlocal.errors import (
     EdgeNotInGraph,
     LoopEdge,
+    ParameterOutOfRange,
     PartitionMismatch,
     TooLargeForExactCheck,
     VertexOutOfRange,
     ZeroMultiplicity,
 )
 from ustlocal.multigraph import (
+    MAX_MULTIPLICITY,
+    MAX_VERTICES,
     MultiGraph,
     _parse_edge_list_bytes,
     complete_graph,
@@ -17,6 +20,7 @@ from ustlocal.multigraph import (
     forest_roots,
     path_graph,
     read_edge_list,
+    write_edge_list,
 )
 
 from conftest import random_connected_graph
@@ -293,6 +297,44 @@ def test_from_arrays_matches_build():
     G = MultiGraph.from_arrays(4, [2, 0, 1, 3], [0, 1, 0, 1], [1, 2, 3, 1])
     H = MultiGraph.build(4, [(2, 0, 1), (0, 1, 2), (1, 0, 3), (3, 1, 1)])
     assert list(G.edges()) == list(H.edges()) == [(0, 1, 5), (0, 2, 1), (1, 3, 1)]
+
+
+def test_vertex_count_past_pair_keys_raises(tmp_path):
+    # u * n + v would wrap int64 above MAX_VERTICES and reorder the pairs
+    with pytest.raises(VertexOutOfRange):
+        MultiGraph.from_arrays(4_000_000_000, [3_000_000_000, 0], [3_000_000_001, 1])
+    with pytest.raises(VertexOutOfRange):
+        MultiGraph.build(MAX_VERTICES + 1, [(0, 1)])
+    (tmp_path / "big.txt").write_text("4000000000 2\n3000000000 3000000001\n0 1\n")
+    with pytest.raises(VertexOutOfRange):
+        read_edge_list(tmp_path / "big.txt")
+    top = MAX_VERTICES - 1
+    G = MultiGraph.from_arrays(MAX_VERTICES, [top - 1, 0], [top, 1])
+    assert G.u.tolist() == [0, top - 1] and G.v.tolist() == [1, top]
+    assert G.multiplicities([1, top, top], [0, top - 1, 0]).tolist() == [1, 1, 0]
+
+
+@pytest.mark.parametrize("mults", [[2**62, 2**62], [2**62] * 4, [2**62] * 5, [MAX_MULTIPLICITY, 1]])
+def test_multiplicity_sum_past_int64_raises(tmp_path, mults):
+    # int64 sums of these wrap to -2**63, 0, 2**62 and -2**63
+    k = len(mults)
+    with pytest.raises(ParameterOutOfRange):
+        MultiGraph.from_arrays(3, [0] * k, [1] * k, mults)
+    with pytest.raises(ParameterOutOfRange):
+        MultiGraph.build(3, [(1, 0, m) if i % 2 else (0, 1, m) for i, m in enumerate(mults)])
+    lines = "".join(f"0 1 {m}\n" for m in mults)
+    (tmp_path / "big.txt").write_text(f"3 {k}\n{lines}")
+    with pytest.raises(ParameterOutOfRange):
+        read_edge_list(tmp_path / "big.txt")
+
+
+def test_multiplicity_sum_at_int64_limit(tmp_path):
+    G = MultiGraph.from_arrays(3, [0, 2, 1], [1, 1, 0], [2**62, 5, 2**62 - 1])
+    assert G.mult.tolist() == [MAX_MULTIPLICITY, 5]
+    write_edge_list(G, tmp_path / "g.txt")
+    assert (tmp_path / "g.txt").read_text() == f"3 2\n0 1 {MAX_MULTIPLICITY}\n1 2 5\n"
+    H = read_edge_list(tmp_path / "g.txt")
+    assert H.mult.tolist() == G.mult.tolist()
 
 
 def test_edge_arrays_are_read_only():

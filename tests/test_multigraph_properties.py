@@ -8,22 +8,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ustlocal.errors import UstlocalError
-from ustlocal.multigraph import MultiGraph, _parse_edge_list_bytes, _parse_edge_list_lines
+from ustlocal.multigraph import (
+    MAX_MULTIPLICITY,
+    MAX_VERTICES,
+    MultiGraph,
+    _parse_edge_list_bytes,
+    _parse_edge_list_lines,
+    read_edge_list,
+    write_edge_list,
+)
 from ustlocal.walk import exact_cheeger
 
-from multigraph_oracle import DictGraph, same_graph
+from multigraph_oracle import (
+    DictGraph,
+    argsort_symmetric_csr,
+    percent_format_edge_list_text,
+    same_graph,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @st.composite
-def multigraphs(draw, max_n=9, max_mult=3):
-    """(n, entries): entries are valid (u, v, m) triples, repeats and both orientations allowed."""
+def multigraphs(draw, max_n=9, max_mult=3, density=3.0):
+    """(n, entries): entries are valid (u, v, m) triples, repeats and both orientations
+    allowed, at most density * n of them."""
     n = draw(st.integers(1, max_n))
     if n == 1:
         return n, []
     entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, max_mult))
-    entries = draw(st.lists(entry.filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    entries = draw(st.lists(entry.filter(lambda e: e[0] != e[1]), max_size=int(density * n)))
     return n, entries
 
 
@@ -71,6 +85,64 @@ def test_accessors_match_oracle(graph):
     for (u, v), m in D.mult.items():
         expected[u, v] = expected[v, u] = m
     assert np.array_equal(G.adjacency_matrix(), expected)
+
+
+# both sides of every power of ten: the digit counts and the 4-digit chunk boundaries
+POWER_EDGES = [10**k + d for k in range(1, 19) for d in (-1, 0, 1)]
+BOUNDARY_IDS = [0, 1, *POWER_EDGES, MAX_VERTICES - 2, MAX_VERTICES - 1]
+BOUNDARY_MULTS = [1, 2, *POWER_EDGES, 2**62, MAX_MULTIPLICITY]
+
+
+@st.composite
+def wide_multigraphs(draw):
+    """A MultiGraph whose vertex count, ids and multiplicities reach the chunk
+    boundaries and int64 limits; one entry per pair, so no sum overflows."""
+    n = draw(st.sampled_from([0, 1, 2, 7, 10_000, 10_001, 100_000_001, MAX_VERTICES])
+             | st.integers(1, MAX_VERTICES))
+    ids = st.sampled_from([x for x in BOUNDARY_IDS if x < n]) | st.integers(0, max(n - 1, 0))
+    # st.just(1) mixes plain "u v" lines with "u v m" ones
+    mults = st.sampled_from(BOUNDARY_MULTS) | st.integers(1, MAX_MULTIPLICITY) | st.just(1)
+    pairs = draw(st.dictionaries(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), mults,
+                                 max_size=0 if n < 2 else 12))
+    u, v = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    return MultiGraph.from_arrays(n, u, v, np.array(list(pairs.values()), dtype=np.int64))
+
+
+@PROPERTY
+@given(wide_multigraphs())
+@example(MultiGraph.from_arrays(1, [], []))
+@example(MultiGraph.from_arrays(10_001, [9_999, 0], [10_000, 9], [MAX_MULTIPLICITY, 10_000]))
+def test_writer_matches_percent_format_oracle(G):
+    assert G.to_edge_list_text() == percent_format_edge_list_text(G)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(wide_multigraphs())
+def test_write_read_round_trip(tmp_path_factory, G):
+    path = tmp_path_factory.mktemp("edges") / "g.txt"
+    write_edge_list(G, path)
+    assert path.read_bytes() == percent_format_edge_list_text(G).encode("ascii")
+    H = read_edge_list(path)
+    assert H.n == G.n
+    for got, ref in zip((H.u, H.v, H.mult), (G.u, G.v, G.mult)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@PROPERTY
+@given(multigraphs(), st.sampled_from([0, 1, 250, 70_000]))
+def test_csr_matches_argsort_oracle(graph, isolated):
+    # the isolated vertices move n across the uint8, uint16 and uint32 sort keys
+    n, entries = graph
+    G = MultiGraph.build(n + isolated, entries)
+    for got, ref in zip(G.csr(), argsort_symmetric_csr(G.n, G.u, G.v, G.mult)):
+        assert got.dtype == ref.dtype == np.int64 and np.array_equal(got, ref)
+
+
+@PROPERTY
+@given(multigraphs(max_n=40, max_mult=2, density=0.6))
+def test_component_labels_many_components(graph):
+    G, D = _both(*graph)
+    assert G.component_labels().tolist() == D.component_labels()
 
 
 @PROPERTY
