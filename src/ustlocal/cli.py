@@ -6,7 +6,9 @@ section per subcommand) supplies defaults; explicit flags win.  Identical
 (config, seed) pairs produce byte-identical output.  `ust` runs its samples
 one after another in index order; --threads is accepted for old configs and
 command lines but changes neither the output nor the speed (Wilson's walk
-and the census hold the GIL, so a thread pool only added overhead).
+and the census hold the GIL, so a thread pool only added overhead).  Each
+subcommand takes the options of its row in `_OPTIONS` and --config; any
+other flag or config key is a config error.
 
 Exit codes: 0 ok, 2 config, 3 precondition, 4 numeric, 5 budget.
 """
@@ -46,12 +48,6 @@ def _load_pattern(path) -> RootedTree:
         return RootedTree.from_json(fh.read())
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_"), None) is None:
-            raise ConfigParse(f"--{name} is required for '{args.command}'")
-
-
 def _census_csv(census: dict[str, int]) -> str:
     lines = ["code,count"]
     for code in sorted(census):
@@ -63,7 +59,6 @@ def _census_csv(census: dict[str, int]) -> str:
 
 
 def _cmd_gen(args) -> None:
-    _require(args, "graphon", "n", "seed", "out")
     if args.n == 0:  # a negative n is the graph layer's VertexOutOfRange
         raise ParameterOutOfRange("n must be >= 1")
     g = load_graphon(args.graphon)
@@ -79,20 +74,18 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_ust(args) -> None:
-    _require(args, "graph", "samples", "seed")
     if args.samples < 1:
         raise ParameterOutOfRange("samples must be >= 1")
     G = read_edge_list(args.graph)
-    radius = args.radius if args.radius is not None else 1
     sampler = ust.aldous_broder_sample if args.sampler == "aldous-broder" else ust.wilson_sample
 
     def one(i: int) -> str:
         tree = sampler(G, _derive(args.seed, i))
         degs = trees.degree_counts(tree)
-        census = trees.local_census(tree, radius)
+        census = trees.local_census(tree, args.radius)
         record = {
             "sample": i,
-            "radius": radius,
+            "radius": args.radius,
             "degree_counts": {str(k): v for k, v in sorted(degs.items())},
             "census": dict(sorted(census.items())),
         }
@@ -108,7 +101,6 @@ def _derive(seed: int, index: int) -> int:
 
 
 def _cmd_freq(args) -> None:
-    _require(args, "pattern")
     pattern = _load_pattern(args.pattern)
     if args.graphon is not None:
         g = load_graphon(args.graphon)
@@ -134,7 +126,6 @@ def _cmd_freq(args) -> None:
 
 
 def _cmd_branching(args) -> None:
-    _require(args, "graphon", "depth", "samples", "seed")
     g = load_graphon(args.graphon)
     law = branching.root_ball_distribution_mc(g, args.depth, args.samples, args.seed)
     census = {code: int(round(p * args.samples)) for code, (p, _se) in law.items()}
@@ -142,14 +133,12 @@ def _cmd_branching(args) -> None:
 
 
 def _cmd_decompose(args) -> None:
-    _require(args, "graph", "gamma", "eta", "eps")
     G = read_edge_list(args.graph)
     dec = decompose.expander_decompose(G, args.gamma, args.eta, args.eps)
     _emit(dec.to_json() + "\n", args.out)
 
 
 def _cmd_count_trees(args) -> None:
-    _require(args, "graph")
     G = read_edge_list(args.graph)
     log_t = electric.log_spanning_tree_count(G)
     payload = {"log_t": log_t, "normalized": float(np.exp(log_t / G.n) / G.n)}
@@ -161,14 +150,12 @@ def _cmd_count_trees(args) -> None:
 
 
 def _cmd_resistance(args) -> None:
-    _require(args, "graph", "u", "v")
     G = read_edge_list(args.graph)
     r = electric.effective_resistance(G, args.u, args.v)
     _emit(_dump({"u": args.u, "v": args.v, "r_eff": r}) + "\n", args.out)
 
 
 def _cmd_walk(args) -> None:
-    _require(args, "graph")
     G = read_edge_list(args.graph)
     profile = walk.spectral_profile(G)
     payload = {
@@ -209,33 +196,44 @@ _COMMANDS = {
 }
 
 
+# The options of each subcommand, flag -> (type, default); a tuple in place of
+# the type lists the allowed strings.  Options whose default is _REQUIRED come
+# first, in the order `_require` reports them.  Every subcommand also takes
+# --config, which `_parse` reads.
+_REQUIRED = object()
+_OPTIONS = {
+    "gen": {"graphon": (str, _REQUIRED), "n": (int, _REQUIRED), "seed": (int, _REQUIRED),
+            "out": (str, _REQUIRED)},
+    "ust": {"graph": (str, _REQUIRED), "samples": (int, _REQUIRED), "seed": (int, _REQUIRED),
+            "radius": (int, 1), "sampler": (("wilson", "aldous-broder"), "wilson"),
+            "threads": (int, None), "out": (str, None)},
+    "freq": {"pattern": (str, _REQUIRED), "graphon": (str, None), "graph": (str, None),
+             "decomp": (str, None), "alpha": (float, 0.001), "eps": (float, 0.05),
+             "out": (str, None)},
+    "branching": {"graphon": (str, _REQUIRED), "depth": (int, _REQUIRED),
+                  "samples": (int, _REQUIRED), "seed": (int, _REQUIRED), "out": (str, None)},
+    "decompose": {"graph": (str, _REQUIRED), "gamma": (float, _REQUIRED),
+                  "eta": (float, _REQUIRED), "eps": (float, 0.05), "out": (str, None)},
+    "count-trees": {"graph": (str, _REQUIRED), "graphon": (str, None), "out": (str, None)},
+    "resistance": {"graph": (str, _REQUIRED), "u": (int, _REQUIRED), "v": (int, _REQUIRED),
+                   "out": (str, None)},
+    "walk": {"graph": (str, _REQUIRED), "eps-mix": (float, 0.25), "out": (str, None)},
+    "extremal": {"k-max": (int, 8), "out": (str, None)},
+}
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="ustlocal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
+    for name, options in _OPTIONS.items():
+        # no abbreviations, so a flag outside the row (--graph) never reads as one in it (--graphon)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--graph", type=str, default=None)
-        p.add_argument("--graphon", type=str, default=None)
-        p.add_argument("--pattern", type=str, default=None)
-        p.add_argument("--decomp", type=str, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--radius", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--u", type=int, default=None)
-        p.add_argument("--v", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--eps", type=float, default=0.05)
-        p.add_argument("--alpha", type=float, default=0.001)
-        p.add_argument("--eps-mix", dest="eps_mix", type=float, default=0.25)
-        p.add_argument("--k-max", dest="k_max", type=int, default=8)
-        p.add_argument("--sampler", choices=("wilson", "aldous-broder"), default="wilson")
+        for flag, (kind, default) in options.items():
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(f"--{flag}", type=str if choices else kind, choices=choices,
+                           default=None if default is _REQUIRED else default)
     return parser, sub.choices
 
 
@@ -277,9 +275,17 @@ def _parse(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _require(args) -> None:
+    """ConfigParse for the first required option that neither a flag nor the config set."""
+    for flag, (_kind, default) in _OPTIONS[args.command].items():
+        if default is _REQUIRED and getattr(args, flag.replace("-", "_")) is None:
+            raise ConfigParse(f"--{flag} is required for '{args.command}'")
+
+
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
+        _require(args)
         _COMMANDS[args.command](args)
     except UstlocalError as exc:
         sys.stderr.write(_dump({"error": type(exc).__name__, "detail": str(exc)}) + "\n")

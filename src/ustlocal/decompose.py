@@ -5,9 +5,10 @@ cuts, phase 2 runs a cleaning loop that moves expansion-violating sets X
 (small side, e(X, P\\X) < gamma |X||P\\X|) into the residual V_0.  The
 verification report, not the construction, carries the correctness contract.
 
-All O(.)/Omega(.) constants from the goodness and bigness definitions are
-explicit inputs defaulting to 1, except the big-part edge-density constant
-c_f which defaults to 0.4 so that a complete graph qualifies as big.
+The O(.)/Omega(.) constants of the goodness and bigness definitions are the
+module constants GOOD_CONSTANTS and BIG_CONSTANTS: all 1, except the
+big-part edge-density constant c_f = 0.4, chosen so that a complete graph
+qualifies as big.
 
 Goodness, bigness, the (G2) boundaries and the cleaning peel all sum over
 the neighbours of a vertex in its own part (as does the discrete b vector
@@ -32,8 +33,8 @@ from .errors import (
 from .multigraph import EXACT_EXPANDER_LIMIT, MultiGraph
 from .walk import _lazy_lambda2, sweep_cuts
 
-GOOD_CONSTANT_DEFAULTS = {"c_a": 1.0, "c_b": 1.0, "c_c": 1.0, "c_d": 1.0}
-BIG_CONSTANT_DEFAULTS = {"c_e": 1.0, "c_f": 0.4}
+GOOD_CONSTANTS = {"c_a": 1.0, "c_b": 1.0, "c_c": 1.0, "c_d": 1.0}
+BIG_CONSTANTS = {"c_e": 1.0, "c_f": 0.4}
 
 
 @dataclass
@@ -332,7 +333,6 @@ def verify_decomposition(G: MultiGraph, dec: ExpanderDecomposition) -> Verificat
 class GoodnessReport:
     alpha: float
     eps: float
-    constants: dict
     conditions: np.ndarray  # (n, 4) booleans for (a)-(d); residual rows all False
     good: np.ndarray  # boolean mask
     big: set[int] | None = None
@@ -341,29 +341,10 @@ class GoodnessReport:
         return np.flatnonzero(self.good)
 
 
-def _constants(defaults: dict, given: dict | None, kind: str) -> dict:
-    """The defaults updated by the given constants; unknown keys and values <= 0 raise."""
-    given = given or {}
-    unknown = sorted(set(given) - set(defaults))
-    if unknown:
-        raise ParameterOutOfRange(f"unknown {kind} constant {unknown[0]!r}; known: {sorted(defaults)}")
-    consts = {**defaults, **given}
-    if any(v <= 0 for v in consts.values()):
-        raise ParameterOutOfRange(f"{kind} constants must be positive")
-    return consts
-
-
-def good_vertices(
-    G: MultiGraph,
-    dec: ExpanderDecomposition,
-    alpha: float,
-    eps: float,
-    constants: dict | None = None,
-) -> GoodnessReport:
+def good_vertices(G: MultiGraph, dec: ExpanderDecomposition, alpha: float, eps: float) -> GoodnessReport:
     """Flag (alpha, eps)-good vertices: conditions (a)-(d) against own part."""
     if not (0.0 < alpha) or not (0.0 < eps):
         raise ParameterOutOfRange("alpha and eps must be positive")
-    consts = _constants(GOOD_CONSTANT_DEFAULTS, constants, "goodness")
 
     deg = G.degrees.astype(np.float64)
     labels = dec.labels
@@ -376,26 +357,20 @@ def good_vertices(
     sum_d = G.same_part_sums(labels, inv_in)
     conditions = np.stack(
         [
-            deg >= consts["c_a"] * eps * G.n,
-            deg_in >= (1.0 - consts["c_b"] * eps**2) * deg,
-            sum_c <= consts["c_c"] * alpha**0.5 + 1e-12,
-            sum_d <= consts["c_d"] * alpha**-0.25 + 1e-12,
+            deg >= GOOD_CONSTANTS["c_a"] * eps * G.n,
+            deg_in >= (1.0 - GOOD_CONSTANTS["c_b"] * eps**2) * deg,
+            sum_c <= GOOD_CONSTANTS["c_c"] * alpha**0.5 + 1e-12,
+            sum_d <= GOOD_CONSTANTS["c_d"] * alpha**-0.25 + 1e-12,
         ],
         axis=1,
     )
     conditions &= ((labels != 0) & (deg > 0))[:, None]
     good = conditions.all(axis=1)
-    return GoodnessReport(alpha=alpha, eps=eps, constants=consts, conditions=conditions, good=good)
+    return GoodnessReport(alpha=alpha, eps=eps, conditions=conditions, good=good)
 
 
-def big_parts(
-    G: MultiGraph,
-    dec: ExpanderDecomposition,
-    report: GoodnessReport,
-    constants: dict | None = None,
-) -> set[int]:
+def big_parts(G: MultiGraph, dec: ExpanderDecomposition, report: GoodnessReport) -> set[int]:
     """Parts with a dominant good fraction and a dense interior."""
-    consts = _constants(BIG_CONSTANT_DEFAULTS, constants, "bigness")
     deg_in = G.same_part_sums(dec.labels, np.ones(G.n))
     alpha = report.alpha
     big: set[int] = set()
@@ -405,8 +380,8 @@ def big_parts(
             continue
         good_frac = float(report.good[part].mean())
         internal_edges = int(deg_in[part].sum()) // 2
-        frac_ok = good_frac >= 1.0 - consts["c_e"] * alpha ** (1.0 / 8.0)
-        dens_ok = internal_edges >= consts["c_f"] * alpha ** (1.0 / 9.0) * len(part) * G.n
+        frac_ok = good_frac >= 1.0 - BIG_CONSTANTS["c_e"] * alpha ** (1.0 / 8.0)
+        dens_ok = internal_edges >= BIG_CONSTANTS["c_f"] * alpha ** (1.0 / 9.0) * len(part) * G.n
         if frac_ok and dens_ok:
             big.add(i)
     report.big = big

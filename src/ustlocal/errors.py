@@ -118,10 +118,6 @@ class PatternTooLarge(BudgetError):
     pass
 
 
-class EmbeddingBudgetExceeded(BudgetError):
-    pass
-
-
 class PartIndexOutOfRange(PreconditionError):
     pass
 

@@ -12,11 +12,15 @@ second message for the numerator).  Patterns with k**ell above
 contract.
 
 Discrete analogues sum the same weight over ordered tuples of distinct
-vertices whose pattern edges are graph edges.  They support two exact
-evaluators: literal backtracking over injective embeddings (the definition,
-with a work budget), and an inclusion-exclusion over the partition lattice
-that reduces distinctness to a handful of small tensor contractions and
-scales to dense desk-size graphs.
+vertices whose pattern edges are graph edges.  They have two exact
+evaluators: literal backtracking over injective embeddings (the definition),
+and an inclusion-exclusion over the partition lattice that reduces
+distinctness to a handful of small tensor contractions and scales to dense
+desk-size graphs.  The graph and pattern size choose between them: the
+backtracker runs when allowed * max(maxdeg, 1)**(ell - 1), a bound on its
+partial embeddings, is at most ``_BACKTRACK_WORK_LIMIT``.  The partition
+lattice evaluator names one tensor axis per pattern vertex from
+``_MOBIUS_AXES`` and refuses larger patterns with PatternTooLarge.
 """
 from __future__ import annotations
 
@@ -28,19 +32,14 @@ from typing import Iterable
 import numpy as np
 
 from .decompose import ExpanderDecomposition, big_parts, good_vertices
-from .errors import (
-    EmbeddingBudgetExceeded,
-    ParameterOutOfRange,
-    PartIndexOutOfRange,
-    PatternTooLarge,
-)
+from .errors import ParameterOutOfRange, PartIndexOutOfRange, PatternTooLarge
 from .graphon import StepGraphon
 from .multigraph import MultiGraph
 from .trees import RootedTree
 
 ASSIGNMENT_CAP = 2_000_000
-EMBEDDING_BUDGET = 10**9
 _BACKTRACK_WORK_LIMIT = 2_000_000
+_MOBIUS_AXES = "abcdefghijkl"
 
 
 @dataclass
@@ -127,8 +126,11 @@ def _mobius_value(
     vertices vanish (the presence diagonal is zero) and are skipped.
     """
     ell = len(weights)
+    if ell > len(_MOBIUS_AXES):
+        raise PatternTooLarge(
+            f"{ell}-vertex pattern: the partition-lattice evaluator takes at most {len(_MOBIUS_AXES)}"
+        )
     adjacent = {frozenset(e) for e in edges}
-    letters = "abcdefghijkl"
     total = 0.0
     qs = [None] if numer is None else list(range(p, ell))
     for part in _set_partitions(tuple(range(ell))):
@@ -163,13 +165,13 @@ def _mobius_value(
             expr = []
             for (x, y) in sorted(merged_edges):
                 ops.append(presence)
-                expr.append(letters[x] + letters[y])
+                expr.append(_MOBIUS_AXES[x] + _MOBIUS_AXES[y])
             for bi, w in enumerate(base):
                 if q is not None and block_of[q] == bi:
                     ops.append(w * numer)
                 else:
                     ops.append(w)
-                expr.append(letters[bi])
+                expr.append(_MOBIUS_AXES[bi])
             total += coeff * float(np.einsum(",".join(expr) + "->", *ops, optimize=True))
     return total
 
@@ -181,7 +183,6 @@ def _backtrack_value(
     allowed: np.ndarray,
     p: int,
     parent: list[int],
-    budget: int,
 ) -> tuple[float, int]:
     """Literal sum over ordered injective embeddings (the defining formula)."""
     ell = len(weights)
@@ -189,11 +190,10 @@ def _backtrack_value(
     used = np.zeros(n, dtype=bool)
     total = 0.0
     count = 0
-    steps = 0
     images = [0] * ell
 
     def extend(j: int, prod: float, numer_sum: float):
-        nonlocal total, count, steps
+        nonlocal total, count
         if j == ell:
             total += prod * numer_sum
             count += 1
@@ -204,9 +204,6 @@ def _backtrack_value(
             else presence_lists[images[parent[j]]]
         )
         for v in cands:
-            steps += 1
-            if steps > budget:
-                raise EmbeddingBudgetExceeded(f"more than {budget} partial extensions")
             v = int(v)
             if used[v] or not allowed[v]:
                 continue
@@ -230,8 +227,6 @@ def _discrete_sum(
     p: int,
     ell: int,
     edges: list[tuple[int, int]],
-    method: str,
-    budget: int,
 ) -> tuple[float, int, str]:
     """Shared evaluator for the discrete frequency sums.
 
@@ -245,29 +240,24 @@ def _discrete_sum(
     w_post = mask / safe_deg
     weights = [w_pre if j < p else w_post for j in range(ell)]
 
-    if method == "auto":
-        work = float(allowed.sum())
-        max_deg = float(deg.max(initial=0.0))
-        for _ in range(ell - 1):
-            work *= max(max_deg, 1.0)
-            if work > _BACKTRACK_WORK_LIMIT:
-                break
-        method = "backtrack" if work <= _BACKTRACK_WORK_LIMIT else "mobius"
+    work = float(allowed.sum())
+    max_deg = float(deg.max(initial=0.0))
+    for _ in range(ell - 1):
+        work *= max(max_deg, 1.0)
+        if work > _BACKTRACK_WORK_LIMIT:
+            break
 
-    # normalized patterns list parents before children, so parent[j] < j
-    parent_arr = [-1] * ell
-    for (a, c) in edges:
-        parent_arr[c] = a
-
-    if method == "backtrack":
+    if work <= _BACKTRACK_WORK_LIMIT:
+        # normalized patterns list parents before children, so parent[j] < j
+        parent_arr = [-1] * ell
+        for (a, c) in edges:
+            parent_arr[c] = a
         nbr_lists = [np.flatnonzero(presence[v] > 0) for v in range(G.n)]
         order = np.argsort(deg, kind="stable")
         rank = np.empty(G.n, dtype=np.int64)
         rank[order] = np.arange(G.n)
         nbr_lists = [a[np.argsort(rank[a], kind="stable")] for a in nbr_lists]
-        total, count = _backtrack_value(
-            nbr_lists, weights, deg, allowed, p, parent_arr, budget
-        )
+        total, count = _backtrack_value(nbr_lists, weights, deg, allowed, p, parent_arr)
         return total, count, "backtrack"
 
     total = _mobius_value(presence, weights, deg, p, edges)
@@ -291,8 +281,6 @@ def freq_graph_component(
     dec: ExpanderDecomposition,
     i: int,
     good: Iterable[int] | np.ndarray,
-    method: str = "auto",
-    budget: int = EMBEDDING_BUDGET,
 ) -> FreqReport:
     """Sum over i-pure tuples compatible with the pattern, weighted per part size."""
     if not (1 <= i <= dec.k):
@@ -308,10 +296,10 @@ def freq_graph_component(
     allowed = good_mask & (labels == i)
     part_size = int((labels == i).sum())
     if part_size == 0 or not allowed.any():
-        return FreqReport(0.0, {i: 0.0}, 0, stab, method)
+        return FreqReport(0.0, {i: 0.0}, 0, stab, "auto")
     presence = (G.adjacency_matrix() > 0).astype(np.float64)
     expb = np.exp(-_b_vector(G, labels))
-    total, count, used = _discrete_sum(G, allowed, presence, expb, p, ell, edges, method, budget)
+    total, count, used = _discrete_sum(G, allowed, presence, expb, p, ell, edges)
     value = total / (stab * part_size)
     return FreqReport(value=value, terms={i: value}, tuple_count=count, stab=stab, method=used)
 
@@ -322,27 +310,23 @@ def freq_graph(
     dec: ExpanderDecomposition,
     alpha: float,
     eps: float,
-    good_constants: dict | None = None,
-    big_constants: dict | None = None,
-    method: str = "auto",
-    budget: int = EMBEDDING_BUDGET,
 ) -> FreqReport:
     """Sum over (alpha, eps)-big parts of (|V_i|/n) Freq(T; G, i)."""
-    report = good_vertices(G, dec, alpha, eps, good_constants)
-    big = big_parts(G, dec, report, big_constants)
+    report = good_vertices(G, dec, alpha, eps)
+    big = big_parts(G, dec, report)
     _ell, _p, _edges, stab = _pattern(T)
     terms = {}
     count = 0
     used = set()
     for i in sorted(big):
         part_frac = len(dec.part(i)) / G.n
-        comp = freq_graph_component(T, G, dec, i, report.good, method, budget)
+        comp = freq_graph_component(T, G, dec, i, report.good)
         terms[i] = part_frac * comp.value
         count += comp.tuple_count or 0
         used.add(comp.method)
     value = float(sum(terms.values()))
-    # report the evaluators the parts used; the request when no part is big
-    used_method = "+".join(sorted(used)) if used else method
+    # report the evaluators the parts used; "auto" when no part is big
+    used_method = "+".join(sorted(used)) if used else "auto"
     return FreqReport(value=value, terms=terms, tuple_count=count, stab=stab, method=used_method)
 
 
@@ -351,8 +335,6 @@ def freq_minus(
     G: MultiGraph,
     V0: Iterable[int],
     E0: Iterable = (),
-    method: str = "auto",
-    budget: int = EMBEDDING_BUDGET,
 ) -> FreqReport:
     """Tuples avoid V0 and use no pattern edge from E0; whole-graph degrees and b.
 
@@ -370,6 +352,6 @@ def freq_minus(
         presence[u, v] = 0.0
         presence[v, u] = 0.0
     expb = np.exp(-_b_vector(G, np.zeros(G.n, dtype=np.int64)))
-    total, count, used = _discrete_sum(G, allowed, presence, expb, p, ell, edges, method, budget)
+    total, count, used = _discrete_sum(G, allowed, presence, expb, p, ell, edges)
     value = total / (stab * G.n)
     return FreqReport(value=value, terms={}, tuple_count=count, stab=stab, method=used)

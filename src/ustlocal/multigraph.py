@@ -27,6 +27,8 @@ EXACT_EXPANDER_LIMIT = 20
 # the largest n with n * n < 2**63, so every pair key u * n + v fits an int64
 MAX_VERTICES = 3_037_000_499
 MAX_MULTIPLICITY = 2**63 - 1
+# the largest total multiplicity whose degree sum 2 * num_edges fits an int64
+MAX_TOTAL_MULTIPLICITY = 2**62 - 1
 
 
 def _normalize_pair(u: int, v: int) -> tuple[int, int]:
@@ -143,6 +145,22 @@ def _check_sums(m: np.ndarray, starts: np.ndarray, key: np.ndarray, n: int) -> N
             )
 
 
+def _total_multiplicity(m: np.ndarray) -> int:
+    """The exact sum of m; ParameterOutOfRange above MAX_TOTAL_MULTIPLICITY.
+
+    The terms are positive, so a float64 sum below 2**61 proves the total in
+    range and the int64 sum exact; only larger totals are summed in Python.
+    """
+    if float(m.sum(dtype=np.float64)) < 2.0**61:
+        return int(m.sum())
+    total = sum(m.tolist())
+    if total > MAX_TOTAL_MULTIPLICITY:
+        raise ParameterOutOfRange(
+            f"total multiplicity {total} exceeds {MAX_TOTAL_MULTIPLICITY}: degree sums leave int64"
+        )
+    return total
+
+
 class MultiGraph:
     """Immutable loopless multigraph on vertices 0..n-1.
 
@@ -245,8 +263,8 @@ class MultiGraph:
 
     @property
     def num_edges(self) -> int:
-        """Total edge multiplicity."""
-        return int(self.mult.sum())
+        """Total edge multiplicity; ParameterOutOfRange above MAX_TOTAL_MULTIPLICITY."""
+        return _total_multiplicity(self.mult)
 
     @property
     def max_multiplicity(self) -> int:
@@ -259,11 +277,14 @@ class MultiGraph:
 
     @property
     def degrees(self) -> np.ndarray:
+        """Exact int64 degrees; ParameterOutOfRange above MAX_TOTAL_MULTIPLICITY."""
         if self._degrees is None:
-            deg = np.bincount(self.u, weights=self.mult, minlength=self.n)
-            deg += np.bincount(self.v, weights=self.mult, minlength=self.n)
-            self._degrees = deg.astype(np.int64)
-            self._degrees.flags.writeable = False
+            _total_multiplicity(self.mult)  # so no degree can wrap
+            deg = np.zeros(self.n, dtype=np.int64)
+            np.add.at(deg, self.u, self.mult)
+            np.add.at(deg, self.v, self.mult)
+            deg.flags.writeable = False
+            self._degrees = deg
         return self._degrees
 
     def degree(self, v: int) -> int:
@@ -454,7 +475,7 @@ class MultiGraph:
     # -- misc ----------------------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"MultiGraph(n={self.n}, edges={len(self.u)}, total_mult={self.num_edges})"
+        return f"MultiGraph(n={self.n}, edges={len(self.u)}, total_mult={sum(self.mult.tolist())})"
 
     def check_handshake(self) -> None:
         assert int(self.degrees.sum()) == 2 * self.num_edges

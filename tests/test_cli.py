@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ustlocal import electric
+from ustlocal import cli, electric
 from ustlocal.cli import main
 from ustlocal.graphon import constant_graphon, save_graphon
 from ustlocal.multigraph import complete_graph, write_edge_list
@@ -196,6 +196,14 @@ def test_budget_error_exit_code(workdir):
     assert json.loads(res.stderr)["error"] == "PatternTooLarge"
 
 
+def test_pattern_above_partition_lattice_limit_exit_code(workdir, capsys):
+    write_edge_list(complete_graph(30), workdir / "k30.txt")
+    star = workdir / "star13.json"
+    star.write_text(RootedTree([-1] + [0] * 12).to_json())
+    assert main(["freq", "--pattern", str(star), "--graph", str(workdir / "k30.txt")]) == 5
+    assert json.loads(capsys.readouterr().err)["error"] == "PatternTooLarge"
+
+
 def test_cross_check_sampler_flag(workdir):
     res = run_cli("ust", "--graph", str(workdir / "k8.txt"), "--samples", "2",
                   "--seed", "5", "--sampler", "aldous-broder")
@@ -226,7 +234,8 @@ def test_non_integer_edge_list_exit_code(workdir, capsys, text):
 @pytest.mark.parametrize("text,error", [
     ("4000000000 2\n3000000000 3000000001\n0 1\n", "VertexOutOfRange"),
     (f"3 2\n0 1 {2**62}\n1 0 {2**62}\n", "ParameterOutOfRange"),
-], ids=["vertex-count", "multiplicity-sum"])
+    (f"3 2\n0 1 {2**62}\n1 2 {2**62}\n", "ParameterOutOfRange"),
+], ids=["vertex-count", "multiplicity-sum", "total-multiplicity"])
 def test_int64_overflow_edge_list_exit_code(workdir, capsys, text, error):
     bad = workdir / "big.txt"
     bad.write_text(text)
@@ -391,3 +400,94 @@ def test_walk_one_vertex_exit_code(tmp_path, capsys):
     one.write_text("1 0\n")
     assert main(["walk", "--graph", str(one)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidVertices"
+
+
+# every subcommand's options, required ones first, in the order they are reported
+OPTIONS = {
+    "gen": ("graphon", "n", "seed", "out"),
+    "ust": ("graph", "samples", "seed", "radius", "sampler", "threads", "out"),
+    "freq": ("pattern", "graphon", "graph", "decomp", "alpha", "eps", "out"),
+    "branching": ("graphon", "depth", "samples", "seed", "out"),
+    "decompose": ("graph", "gamma", "eta", "eps", "out"),
+    "count-trees": ("graph", "graphon", "out"),
+    "resistance": ("graph", "u", "v", "out"),
+    "walk": ("graph", "eps-mix", "out"),
+    "extremal": ("k-max", "out"),
+}
+REQUIRED = {
+    "gen": ("graphon", "n", "seed", "out"),
+    "ust": ("graph", "samples", "seed"),
+    "freq": ("pattern",),
+    "branching": ("graphon", "depth", "samples", "seed"),
+    "decompose": ("graph", "gamma", "eta"),
+    "count-trees": ("graph",),
+    "resistance": ("graph", "u", "v"),
+    "walk": ("graph",),
+    "extremal": (),
+}
+ALL_FLAGS = sorted({flag for flags in OPTIONS.values() for flag in flags})
+FOREIGN = [(command, flag) for command in OPTIONS for flag in ALL_FLAGS
+           if flag not in OPTIONS[command]]
+# a value of the right type for every flag, so only the flag itself can be refused
+VALUE = {"n": "5", "seed": "1", "samples": "2", "radius": "1", "threads": "1", "depth": "1",
+         "u": "0", "v": "1", "k-max": "3", "sampler": "wilson", "alpha": "0.5", "eps": "0.1",
+         "gamma": "0.5", "eta": "0.5", "eps-mix": "0.25"}
+
+
+def test_option_table_is_the_contract():
+    table = {command: tuple(options) for command, options in cli._OPTIONS.items()}
+    assert table == OPTIONS
+    required = {command: tuple(flag for flag, (_kind, default) in options.items()
+                               if default is cli._REQUIRED)
+                for command, options in cli._OPTIONS.items()}
+    assert required == REQUIRED
+    _parser, subcommands = cli._build_parser()
+    settable = sum(len([a for a in p._actions if a.dest != "help"]) for p in subcommands.values())
+    assert settable == 49  # each table row plus --config
+
+
+@pytest.mark.parametrize("command,flag", FOREIGN, ids=[f"{c}-{f}" for c, f in FOREIGN])
+def test_foreign_flag_exit_code(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}", VALUE.get(flag, "x")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", FOREIGN, ids=[f"{c}-{f}" for c, f in FOREIGN])
+def test_foreign_config_key_exit_code(tmp_path, capsys, command, flag):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{command}]\n{flag} = {VALUE.get(flag, 'x')}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigParse", "detail": f"unknown config key '{flag}' in section [{command}]"}
+
+
+@pytest.mark.parametrize("command,missing", [
+    (command, i) for command, names in REQUIRED.items() for i in range(len(names))])
+def test_missing_required_option_message(capsys, command, missing):
+    given = [arg for flag in REQUIRED[command][:missing] for arg in (f"--{flag}", VALUE.get(flag, "x"))]
+    assert main([command, *given]) == 2
+    flag = REQUIRED[command][missing]
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigParse", "detail": f"--{flag} is required for '{command}'"}
+
+
+def test_walk_rejects_samples(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["walk", "--graph", str(workdir / "k8.txt"), "--samples", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples 3" in capsys.readouterr().err
+    res = run_cli("walk", "--graph", str(workdir / "k8.txt"), "--samples", "3")
+    assert res.returncode == 2
+    cfg = workdir / "walk.ini"
+    cfg.write_text(f"[walk]\ngraph = {workdir / 'k8.txt'}\nsamples = 3\n")
+    assert main(["walk", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
+
+
+def test_decompose_eps_defaults(workdir):
+    res = run_cli("decompose", "--graph", str(workdir / "k8.txt"), "--gamma", "0.5",
+                  "--eta", "0.5")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["eps"] == 0.05

@@ -180,23 +180,6 @@ def test_big_parts_labels_longer_than_graph():
         big_parts(complete_graph(6), dec, rep)
 
 
-@pytest.mark.parametrize("constants", [{"c_f": -1.0}, {"c_e": 0.0}])
-def test_big_parts_rejects_nonpositive_constant(constants):
-    G = complete_graph(10)
-    dec = trivial_decomposition(G)
-    rep = good_vertices(G, dec, alpha=0.5, eps=0.1)
-    with pytest.raises(ParameterOutOfRange):
-        big_parts(G, dec, rep, constants)
-
-
-def test_goodness_and_bigness_reject_unknown_constant():
-    G = complete_graph(10)
-    dec = trivial_decomposition(G)
-    with pytest.raises(ParameterOutOfRange, match="c_zz"):
-        good_vertices(G, dec, alpha=0.5, eps=0.1, constants={"c_zz": 1.0})
-    rep = good_vertices(G, dec, alpha=0.5, eps=0.1)
-    with pytest.raises(ParameterOutOfRange, match="c_zz"):
-        big_parts(G, dec, rep, {"c_f": 0.4, "c_zz": 1.0})
 
 
 def test_planted_labels_recovered():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ustlocal.decompose import (
-    GOOD_CONSTANT_DEFAULTS,
+    GOOD_CONSTANTS,
     ExpanderDecomposition,
     _clean_cluster,
     good_vertices,
@@ -40,7 +40,7 @@ def test_good_vertices_match_oracle(graph, alpha, eps):
     G, labels = graph
     dec = ExpanderDecomposition(labels, 0.1, 0.1, 0.1)
     rep = good_vertices(G, dec, alpha=alpha, eps=eps)
-    conditions, good = good_vertices_oracle(G, labels, alpha, eps, GOOD_CONSTANT_DEFAULTS)
+    conditions, good = good_vertices_oracle(G, labels, alpha, eps, GOOD_CONSTANTS)
     assert (rep.conditions == conditions).all()
     assert (rep.good == good).all()
     assert not rep.conditions[(labels == 0) | (G.degrees == 0)].any()

@@ -8,7 +8,6 @@ from ustlocal import freq as freq_mod
 from ustlocal.decompose import ExpanderDecomposition, trivial_decomposition
 from ustlocal.errors import (
     DegenerateGraphon,
-    EmbeddingBudgetExceeded,
     ParameterOutOfRange,
     PartIndexOutOfRange,
     PatternTooLarge,
@@ -178,16 +177,34 @@ def test_freq_component_vs_brute_force(rng):
     assert rep.value == pytest.approx(brute_force_freq_minus(EDGE, G, [], []), rel=1e-12)
 
 
-def test_backtrack_and_mobius_agree(rng):
+def _component_by(monkeypatch, evaluator, T, G, dec, i, good):
+    """freq_graph_component with the evaluator forced through the work limit."""
+    limit = math.inf if evaluator == "backtrack" else 0
+    monkeypatch.setattr(freq_mod, "_BACKTRACK_WORK_LIMIT", limit)
+    rep = freq_graph_component(T, G, dec, i, good)
+    assert rep.method == evaluator
+    return rep
+
+
+def test_backtrack_and_mobius_agree(rng, monkeypatch):
     for _ in range(6):
         G = random_connected_graph(rng, 8, 0.6)
         dec = trivial_decomposition(G)
         good = np.ones(8, dtype=bool)
         for T in enumerate_rooted_trees(4, min_height=1):
-            a = freq_graph_component(T, G, dec, 1, good, method="backtrack")
-            m = freq_graph_component(T, G, dec, 1, good, method="mobius")
+            a = _component_by(monkeypatch, "backtrack", T, G, dec, 1, good)
+            m = _component_by(monkeypatch, "mobius", T, G, dec, 1, good)
             assert a.value == pytest.approx(m.value, rel=1e-9, abs=1e-12)
             assert a.tuple_count == m.tuple_count
+
+
+def test_partition_lattice_refuses_patterns_above_12_vertices():
+    # the work rule picks the partition lattice evaluator for a 13-vertex
+    # star on K30; Bell(13) partitions are never enumerated
+    G = complete_graph(30)
+    star = RootedTree([-1] + [0] * 12)
+    with pytest.raises(PatternTooLarge, match="13-vertex"):
+        freq_graph_component(star, G, trivial_decomposition(G), 1, np.ones(30, dtype=bool))
 
 
 def test_stab_counts_labeled_embeddings(rng):
@@ -203,14 +220,6 @@ def test_stab_counts_labeled_embeddings(rng):
                 groups[key] = groups.get(key, 0) + 1
         for key, count in groups.items():
             assert count % T.stab_size() == 0
-
-
-def test_embedding_budget():
-    G = complete_graph(30)
-    dec = trivial_decomposition(G)
-    path4 = RootedTree([-1, 0, 1, 2])
-    with pytest.raises(EmbeddingBudgetExceeded):
-        freq_graph_component(path4, G, dec, 1, np.ones(30, dtype=bool), method="backtrack", budget=100)
 
 
 def test_freq_graph_single_part_scaling():
@@ -252,8 +261,10 @@ def test_freq_graph_reports_every_evaluator_used(monkeypatch):
     G, dec = _two_cliques_plus_matching(60)
     real = freq_mod.freq_graph_component
 
-    def per_part_method(T, G, dec, i, good, method, budget):
-        return real(T, G, dec, i, good, "mobius" if i == 1 else "backtrack", budget)
+    def per_part_method(T, G, dec, i, good):
+        limit = 0 if i == 1 else math.inf  # 0 forces the partition lattice evaluator
+        monkeypatch.setattr(freq_mod, "_BACKTRACK_WORK_LIMIT", limit)
+        return real(T, G, dec, i, good)
 
     monkeypatch.setattr(freq_mod, "freq_graph_component", per_part_method)
     rep = freq_graph(EDGE, G, dec, alpha=1e-3, eps=0.2)
@@ -299,13 +310,13 @@ def test_freq_minus_random_patterns_vs_brute_force(rng):
         assert got.value == pytest.approx(expect, rel=1e-10, abs=1e-13)
 
 
-def test_graph_graphon_consistency_at_scale():
+def test_graph_graphon_consistency_at_scale(monkeypatch):
     # trivial decomposition of K_200 approaches the W=1 functional
     n = 200
     G = complete_graph(n)
     dec = trivial_decomposition(G)
     good = np.ones(n, dtype=bool)
     for T in enumerate_rooted_trees(4, min_height=1):
-        discrete = freq_graph_component(T, G, dec, 1, good, method="mobius")
+        discrete = _component_by(monkeypatch, "mobius", T, G, dec, 1, good)
         continuous = freq_graphon(T, W1)
         assert abs(discrete.value - continuous.value) <= 0.01, T.canonical_code()

@@ -12,6 +12,7 @@ from ustlocal.errors import (
 )
 from ustlocal.multigraph import (
     MAX_MULTIPLICITY,
+    MAX_TOTAL_MULTIPLICITY,
     MAX_VERTICES,
     MultiGraph,
     _parse_edge_list_bytes,
@@ -335,6 +336,29 @@ def test_multiplicity_sum_at_int64_limit(tmp_path):
     assert (tmp_path / "g.txt").read_text() == f"3 2\n0 1 {MAX_MULTIPLICITY}\n1 2 5\n"
     H = read_edge_list(tmp_path / "g.txt")
     assert H.mult.tolist() == G.mult.tolist()
+
+
+def test_degrees_exact_past_float64():
+    # a float64 sum rounds 2**53 + 1 down to 2**53
+    G = MultiGraph.from_arrays(3, [0, 1], [1, 2], [2**53 + 1, 1])
+    assert G.degrees.tolist() == [2**53 + 1, 2**53 + 2, 1]
+    G.check_handshake()
+
+
+def test_degrees_at_total_multiplicity_limit():
+    G = MultiGraph.from_arrays(3, [0, 1], [1, 2], [2**61, 2**61 - 1])
+    assert G.num_edges == MAX_TOTAL_MULTIPLICITY
+    assert G.degrees.tolist() == [2**61, MAX_TOTAL_MULTIPLICITY, 2**61 - 1]
+    G.check_handshake()
+
+
+def test_total_multiplicity_past_degree_range_raises():
+    # int64 sums of these wrap: num_edges read -2**63 and the middle degree too
+    G = MultiGraph.from_arrays(3, [0, 1], [1, 2], [2**62, 2**62])
+    with pytest.raises(ParameterOutOfRange):
+        G.num_edges
+    with pytest.raises(ParameterOutOfRange):
+        G.degrees
 
 
 def test_edge_arrays_are_read_only():
