@@ -132,10 +132,12 @@ class ExpanderDecomposition:
     def from_json(cls, text: str) -> "ExpanderDecomposition":
         with malformed_json("decomposition"):
             data = json.loads(text)
-            labels = np.array(data["labels"], dtype=np.int64)
+            raw = data["labels"]
             params = {key: float(data[key]) for key in ("gamma", "eta", "eps")}
-        if labels.ndim != 1 or (labels < 0).any():
-            raise ConfigParse("decomposition 'labels' must be a list of part indices >= 0")
+        # JSON integers only: a cast to int64 would read 1.5, "1" or true as 1
+        if not isinstance(raw, list) or not all(type(x) is int and 0 <= x < 2**63 for x in raw):
+            raise ConfigParse("decomposition 'labels' must be a list of integer part indices >= 0")
+        labels = np.array(raw, dtype=np.int64)
         return cls(labels=labels, **params)
 
 

@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .decompose import ExpanderDecomposition, big_parts, good_vertices
-from .errors import ParameterOutOfRange, PartIndexOutOfRange, PatternTooLarge
+from .errors import ParameterOutOfRange, PartIndexOutOfRange, PartitionMismatch, PatternTooLarge
 from .graphon import StepGraphon
 from .multigraph import MultiGraph
 from .trees import RootedTree
@@ -287,12 +287,13 @@ def freq_graph_component(
         raise PartIndexOutOfRange(f"part {i} outside 1..{dec.k}")
     ell, p, edges, stab = _pattern(T)
     labels = dec.labels
-    good_mask = np.zeros(G.n, dtype=bool)
     good_arr = np.asarray(list(good) if not isinstance(good, np.ndarray) else good)
     if good_arr.dtype == bool:
-        good_mask = good_arr.copy()
-    elif len(good_arr):
-        good_mask[good_arr.astype(np.int64)] = True
+        if good_arr.shape != (G.n,):
+            raise PartitionMismatch(f"good mask of shape {good_arr.shape} for {G.n} vertices")
+        good_mask = good_arr
+    else:
+        good_mask = G._check_vertex_set(good_arr)
     allowed = good_mask & (labels == i)
     part_size = int((labels == i).sum())
     if part_size == 0 or not allowed.any():

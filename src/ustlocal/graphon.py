@@ -38,8 +38,11 @@ class StepGraphon:
         k = self.mu.shape[0]
         if self.W.shape != (k, k):
             raise AsymmetricKernel(f"kernel shape {self.W.shape} does not match {k} blocks")
-        if abs(float(self.mu.sum()) - 1.0) > 1e-12 or (self.mu <= 0).any():
+        # NaN compares false, so the finiteness checks come first
+        if not np.isfinite(self.mu).all() or abs(float(self.mu.sum()) - 1.0) > 1e-12 or (self.mu <= 0).any():
             raise MeasuresDontSumToOne("block measures must be positive and sum to 1")
+        if not np.isfinite(self.W).all():
+            raise EntryOutOfRange("kernel entries must lie in [0, 1]")
         if not np.allclose(self.W, self.W.T, atol=1e-12, rtol=0.0):
             raise AsymmetricKernel("kernel must be symmetric")
         if (self.W < -1e-15).any() or (self.W > 1.0 + 1e-15).any():

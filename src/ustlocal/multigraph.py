@@ -54,12 +54,12 @@ def _edge_multiset(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def forest_roots(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """Join the pairs in order while they form a forest on 0..n-1 (union-find).
+    """Union-find on 0..n-1 that joins every pair, in order.
 
     Returns each vertex's root, the smallest vertex of its tree, and the
-    number of pairs joined: the index of the first pair whose endpoints are
-    already connected, or the number of pairs when none is.  Meant for
-    small edge sets such as a tree's n - 1 edges; `components` serves whole
+    index of the first pair whose endpoints were already joined, or the
+    number of pairs when none was.  Meant for small edge sets such as a
+    tree's n - 1 edges or an include set; `component_labels` serves whole
     graphs.
     """
     parent = list(range(n))
@@ -70,14 +70,22 @@ def forest_roots(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], i
             x = parent[x]
         return x
 
-    joined = 0
+    first_cycle = -1
+    count = 0
     for (u, v) in pairs:
         ru, rv = find(u), find(v)
-        if ru == rv:
-            break
-        parent[max(ru, rv)] = min(ru, rv)
-        joined += 1
-    return [find(x) for x in range(n)], joined
+        if ru < rv:
+            parent[rv] = ru
+        elif rv < ru:
+            parent[ru] = rv
+        elif first_cycle < 0:
+            first_cycle = count
+        count += 1
+    # every parent is at most its child, so one pass in vertex order reads
+    # each parent's finished root
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return parent, (count if first_cycle < 0 else first_cycle)
 
 
 def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -113,19 +121,6 @@ def _csr_components(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarr
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(len(first))
     return rank[inverse.ravel()]
-
-
-def components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Connected-component labels of the graph on 0..n-1 with edges (u[i], v[i]).
-
-    Labels are numbered in order of each component's smallest vertex.
-    """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if len(u) == 0:
-        return np.arange(n, dtype=np.int64)
-    indptr, indices, _weights = _symmetric_csr(n, u, v, np.ones_like(u))
-    return _csr_components(n, indptr, indices)
 
 
 def _check_sums(m: np.ndarray, starts: np.ndarray, key: np.ndarray, n: int) -> None:
@@ -378,11 +373,12 @@ class MultiGraph:
         if len(missing):
             i = int(missing[0])
             raise EdgeNotInGraph(f"edge {(int(a[i]), int(b[i]))} not in graph")
-        vmap = components(self.n, a, b)
+        roots, _first_cycle = forest_roots(self.n, zip(a.tolist(), b.tolist()))
+        # roots are smallest vertices, so their ranks number the new vertices
+        new_vertices, vmap = np.unique(np.array(roots, dtype=np.int64), return_inverse=True)
         cu, cv = vmap[self.u], vmap[self.v]
         keep = cu != cv
-        n_new = int(vmap.max(initial=-1)) + 1
-        return MultiGraph.from_arrays(n_new, cu[keep], cv[keep], self.mult[keep]), vmap
+        return MultiGraph.from_arrays(len(new_vertices), cu[keep], cv[keep], self.mult[keep]), vmap
 
     def delete(self, S: Iterable[Sequence[int]]) -> "MultiGraph":
         """Remove edge copies listed in S; (u, v) removes one copy, (u, v, m) removes m."""

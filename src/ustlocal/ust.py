@@ -19,6 +19,7 @@ import numpy as np
 from .electric import log_spanning_tree_count
 from .errors import (
     ConditioningDisconnects,
+    EdgeNotInGraph,
     GraphDisconnected,
     IncludeHasCycle,
     PreconditionError,
@@ -45,8 +46,8 @@ class SpanningTree:
             raise PreconditionError(
                 f"{len(self.edges)} edges cannot span {self.n} vertices"
             )
-        _roots, joined = forest_roots(self.n, ((u, v) for (u, v, _c) in self.edges))
-        if joined < len(self.edges):
+        _roots, first_cycle = forest_roots(self.n, ((u, v) for (u, v, _c) in self.edges))
+        if first_cycle < len(self.edges):
             raise PreconditionError("edge set contains a cycle")
         self._adj: list[list[int]] | None = None
 
@@ -158,8 +159,8 @@ def conditional_sample(
 ) -> SpanningTree:
     """UST of G conditioned on include being present and exclude absent.
 
-    Realized through the spatial Markov property: contract the include set,
-    delete the exclude set, sample, and lift edges back through the
+    Realized through the spatial Markov property: delete the exclude set,
+    contract the include set, sample, and lift edges back through the
     contraction.  Exclude entries follow delete() semantics: (u, v) removes
     one parallel copy, (u, v, m) removes m.
     """
@@ -168,42 +169,35 @@ def conditional_sample(
     # pairs are checked in order: the first absent or cycle-closing one raises
     absent = np.flatnonzero(G.multiplicities(inc_u, inc_v) == 0)
     first_absent = int(absent[0]) if len(absent) else len(include_pairs)
-    roots, joined = forest_roots(G.n, include_pairs[:first_absent])
-    if joined < first_absent:
-        u, v = include_pairs[joined]
+    _roots, first_cycle = forest_roots(G.n, include_pairs[:first_absent])
+    if first_cycle < first_absent:
+        u, v = include_pairs[first_cycle]
         raise IncludeHasCycle(f"include set closes a cycle at ({u},{v})")
     if len(absent):
         u, v = include_pairs[first_absent]
         raise ConditioningDisconnects(f"include edge ({u},{v}) not in graph")
-    # roots are smallest vertices, so their ranks number the quotient's vertices
-    tree_roots, vmap = np.unique(np.array(roots, dtype=np.int64), return_inverse=True)
-    n_q = len(tree_roots)
 
     try:
         stripped = G.delete(exclude)
     except Exception as exc:  # noqa: BLE001 - surface as a conditioning failure
         raise ConditioningDisconnects(str(exc)) from exc
-    gone = np.flatnonzero(stripped.multiplicities(inc_u, inc_v) == 0)
-    if len(gone):
-        u, v = include_pairs[int(gone[0])]
-        raise ConditioningDisconnects(
-            f"every copy of include edge ({u},{v}) is excluded"
-        )
+    try:
+        quotient, vmap = stripped.contract(include_pairs)
+        qtree = wilson_sample(quotient, seed)
+    except EdgeNotInGraph as exc:
+        raise ConditioningDisconnects(f"every copy of an include edge is excluded: {exc}") from exc
+    except GraphDisconnected as exc:
+        raise ConditioningDisconnects("conditioning leaves no spanning tree") from exc
 
-    # quotient multigraph; the host pairs over one quotient pair, in host
-    # order, lift a quotient edge copy back to a host edge copy
+    # the host pairs over one quotient pair, in host order, lift a quotient
+    # edge copy back to a host edge copy
     qu, qv = vmap[stripped.u], vmap[stripped.v]
     cross = np.flatnonzero(qu != qv)
     qa, qb = np.minimum(qu[cross], qv[cross]), np.maximum(qu[cross], qv[cross])
-    quotient = MultiGraph.from_arrays(n_q, qa, qb, stripped.mult[cross])
-    if not quotient.is_connected():
-        raise ConditioningDisconnects("conditioning leaves no spanning tree")
     lift: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     host = (stripped.u[cross], stripped.v[cross], stripped.mult[cross])
     for a, b, u, v, m in zip(qa.tolist(), qb.tolist(), *(arr.tolist() for arr in host)):
         lift.setdefault((a, b), []).append((u, v, m))
-
-    qtree = wilson_sample(quotient, seed)
     edges: list[tuple[int, int, int]] = [(u, v, 0) for (u, v) in include_pairs]
     for (a, b, c) in qtree.edges:
         offset = c
@@ -237,23 +231,6 @@ def enumerate_spanning_trees(G: MultiGraph, max_trees: int = 10**6) -> list[Span
 
     trees: list[SpanningTree] = []
 
-    def connected(num_labels: int, edges, labels_alive) -> bool:
-        parent = {x: x for x in labels_alive}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = len(parent)
-        for (a, b, _eid) in edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps == 1
-
     def rec(labels_alive: frozenset, edges: list, chosen: list) -> None:
         if len(labels_alive) == 1:
             trees.append(SpanningTree(G.n, list(chosen)))
@@ -268,8 +245,11 @@ def enumerate_spanning_trees(G: MultiGraph, max_trees: int = 10**6) -> list[Span
             if na != nb:
                 merged.append((na, nb, eid))
         rec(labels_alive - {b0}, merged, chosen + [eid0])
-        # branch 2: eid0 not in the tree -> drop it if connectivity survives
-        if connected(len(labels_alive), rest, labels_alive):
+        # branch 2: eid0 not in the tree -> drop it if connectivity survives;
+        # the edges always connect the alive labels, so the rest does exactly
+        # when it still joins a0 and b0
+        roots, _first_cycle = forest_roots(G.n, ((a, b) for (a, b, _eid) in rest))
+        if roots[a0] == roots[b0]:
             rec(labels_alive, rest, chosen)
 
     rec(frozenset(range(G.n)), base_edges, [])

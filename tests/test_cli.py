@@ -491,3 +491,33 @@ def test_decompose_eps_defaults(workdir):
                   "--eta", "0.5")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["eps"] == 0.05
+
+
+def test_non_finite_graphon_gen_exit_code(workdir, capsys):
+    # Python's json reads NaN, so a NaN block measure reaches StepGraphon
+    graphon = workdir / "nan.json"
+    graphon.write_text('{"mu": [NaN, 1.0], "W": [[1.0, 1.0], [1.0, 1.0]]}')
+    out = workdir / "nan.txt"
+    code = main(["gen", "--graphon", str(graphon), "--n", "4", "--seed", "1", "--out", str(out)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "MeasuresDontSumToOne"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["1.5", '"1"', "true"])
+def test_non_integer_decomposition_labels_exit_code(workdir, capsys, label):
+    # a cast to int64 would read these as 1 rather than refuse them
+    dec = workdir / "dec.json"
+    dec.write_text(f'{{"labels": [0, {label}, 1, 1, 1, 1, 1, 1], "gamma": 0.5, "eta": 0.5, "eps": 0.1}}')
+    code = main(["freq", "--pattern", str(workdir / "edge.json"),
+                 "--graph", str(workdir / "k8.txt"), "--decomp", str(dec)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
+
+
+def test_import_loads_no_sparse_graph_code():
+    # the benchmark's setup time is this import: scipy.sparse loads on first use only
+    probe = "import sys, ustlocal; print(sorted({'scipy.sparse', 'scipy.sparse.csgraph'} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ from ustlocal.errors import (
     DegenerateGraphon,
     ParameterOutOfRange,
     PartIndexOutOfRange,
+    PartitionMismatch,
     PatternTooLarge,
     VertexOutOfRange,
 )
@@ -168,6 +169,20 @@ def test_freq_component_part_index_check():
     G = complete_graph(5)
     with pytest.raises(PartIndexOutOfRange):
         freq_graph_component(EDGE, G, trivial_decomposition(G), 2, [0, 1])
+
+
+@pytest.mark.parametrize("index", [-1, 5])
+def test_freq_component_good_index_out_of_range(index):
+    G = complete_graph(5)
+    with pytest.raises(VertexOutOfRange):
+        freq_graph_component(EDGE, G, trivial_decomposition(G), 1, [0, index])
+
+
+@pytest.mark.parametrize("length", [4, 6])
+def test_freq_component_good_mask_length(length):
+    G = complete_graph(5)
+    with pytest.raises(PartitionMismatch):
+        freq_graph_component(EDGE, G, trivial_decomposition(G), 1, np.ones(length, dtype=bool))
 
 
 def test_freq_component_vs_brute_force(rng):

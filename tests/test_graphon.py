@@ -58,6 +58,17 @@ def test_structural_errors():
         StepGraphon(np.array([1.0]), np.array([[1.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_measures_and_entries(bad):
+    # NaN fails every comparison, so only an explicit check rejects it
+    with pytest.raises(MeasuresDontSumToOne):
+        StepGraphon(np.array([bad, 1.0]), np.eye(2))
+    with pytest.raises(EntryOutOfRange):
+        StepGraphon(np.array([0.5, 0.5]), np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(EntryOutOfRange):
+        StepGraphon(np.array([0.5, 0.5]), np.array([[1.0, bad], [0.5, 1.0]]))
+
+
 def test_avg_b_identity_random(rng):
     for _ in range(300):
         k = int(rng.integers(1, 5))

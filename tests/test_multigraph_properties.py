@@ -189,6 +189,21 @@ def test_contract_matches_oracle(graph, data):
 
 
 @PROPERTY
+@given(multigraphs(density=4.0), st.data())
+def test_contract_with_cycles_matches_oracle(graph, data):
+    # every edge inside a drawn vertex set, so S closes cycles whenever that
+    # set spans one; then any further edges, in drawn order
+    G, D = _both(*graph)
+    inside = set(_subset(data.draw, G.n))
+    S = [(u, v) for (u, v) in G.edge_pairs() if u in inside and v in inside]
+    pairs = G.edge_pairs()
+    S += data.draw(st.permutations(pairs))[:data.draw(st.integers(0, len(pairs)))]
+    H, vmap = G.contract(S)
+    ref, ref_vmap = D.contract(S)
+    assert same_graph(H, ref) and vmap.tolist() == ref_vmap
+
+
+@PROPERTY
 @given(multigraphs(), st.data())
 def test_delete_matches_oracle(graph, data):
     G, D = _both(*graph)
