@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange
 from .graphon import StepGraphon
-from .rng import stream
+from .rng import sample_count, stream
 from .trees import CodeInterner
 
 
@@ -131,8 +131,7 @@ def root_ball_distribution_mc(
     Returns code -> (probability, binomial standard error); probabilities sum
     to 1 exactly.
     """
-    if samples < 1:
-        raise ParameterOutOfRange("samples must be >= 1")
+    samples = sample_count(samples)
     if r < 1:
         raise ParameterOutOfRange("radius must be >= 1")
     sizes, gen_parents = _sample_generations(g, r, samples, stream(seed))

@@ -5,6 +5,7 @@ CLI, and ``exit_code`` groups them into the CLI's exit-code classes
 (2 config, 3 precondition, 4 numeric, 5 budget).
 """
 from contextlib import contextmanager
+from numbers import Integral
 
 
 class UstlocalError(Exception):
@@ -22,6 +23,11 @@ def malformed_json(what: str):
         yield
     except (ValueError, LookupError, TypeError) as exc:
         raise ConfigParse(f"bad {what} JSON: {type(exc).__name__}: {exc}") from exc
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class PreconditionError(UstlocalError):
@@ -51,6 +57,10 @@ class ZeroMultiplicity(PreconditionError):
 
 
 class EdgeNotInGraph(PreconditionError):
+    pass
+
+
+class MalformedEdge(PreconditionError):
     pass
 
 

@@ -14,13 +14,17 @@ contract.
 Discrete analogues sum the same weight over ordered tuples of distinct
 vertices whose pattern edges are graph edges.  They have two exact
 evaluators: literal backtracking over injective embeddings (the definition),
-and an inclusion-exclusion over the partition lattice that reduces
-distinctness to a handful of small tensor contractions and scales to dense
-desk-size graphs.  The graph and pattern size choose between them: the
-backtracker runs when allowed * max(maxdeg, 1)**(ell - 1), a bound on its
-partial embeddings, is at most ``_BACKTRACK_WORK_LIMIT``.  The partition
-lattice evaluator names one tensor axis per pattern vertex from
-``_MOBIUS_AXES`` and refuses larger patterns with PatternTooLarge.
+and Mobius inversion over the partition lattice, inj(T, G) = sum over pi of
+mu(0, pi) hom(T/pi, G), which scales to dense desk-size graphs.  The graph
+and pattern size choose between them: the backtracker runs when
+allowed * max(maxdeg, 1)**(ell - 1), a bound on its partial embeddings, is
+at most ``_BACKTRACK_WORK_LIMIT``.  The lattice evaluator works on the
+allowed vertices only and visits the Bell(ell - 1) partitions of the
+pattern into independent sets; a quotient that is a tree costs one
+leaf-to-root pass of matrix-vector products, and einsum is kept for
+quotients with a cycle.  Patterns with more than ``_PARTITION_CAP``
+partitions (above 11 vertices) are refused with PatternTooLarge before any
+is generated.
 """
 from __future__ import annotations
 
@@ -39,7 +43,9 @@ from .trees import RootedTree
 
 ASSIGNMENT_CAP = 2_000_000
 _BACKTRACK_WORK_LIMIT = 2_000_000
-_MOBIUS_AXES = "abcdefghijkl"
+# Bell(10): the lattice evaluator takes patterns of up to 11 vertices
+_PARTITION_CAP = 115_975
+_AXES = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass
@@ -101,79 +107,120 @@ def freq_graphon(T: RootedTree, g: StepGraphon, assignment_cap: int = ASSIGNMENT
 # -- discrete side: shared machinery -----------------------------------------------
 
 
-def _set_partitions(items: tuple[int, ...]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        yield part + [[first]]
+def _bell(k: int) -> int:
+    """The Bell number B_k, read off the Bell triangle."""
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
-def _mobius_value(
-    presence: np.ndarray,
-    weights: list[np.ndarray],
-    numer: np.ndarray | None,
-    p: int,
-    edges: list[tuple[int, int]],
-) -> float:
-    """Sum over distinct tuples of prod_j weights[j][v_j] * prod_edges presence
-    * (numerator over positions >= p, or 1 when numer is None).
+def _independent_partitions(parent: list[int]):
+    """Partitions of the pattern's vertices into blocks that hold no pattern edge.
 
-    Inclusion-exclusion over set partitions: blocks merging pattern-adjacent
-    vertices vanish (the presence diagonal is zero) and are skipped.
+    Yields (block of each vertex, number of blocks), blocks numbered in order
+    of their smallest vertex; the list is reused between yields.  With
+    parent[j] < j a vertex only has to avoid its parent's block, so a tree on
+    ell vertices has exactly Bell(ell - 1) such partitions.
     """
-    ell = len(weights)
-    if ell > len(_MOBIUS_AXES):
+    ell = len(parent)
+    block_of = [0] * ell
+
+    def extend(j: int, blocks: int):
+        if j == ell:
+            yield block_of, blocks
+            return
+        taken = block_of[parent[j]]
+        for b in range(blocks):
+            if b != taken:
+                block_of[j] = b
+                yield from extend(j + 1, blocks)
+        block_of[j] = blocks
+        yield from extend(j + 1, blocks + 1)
+
+    yield from extend(1, 1)
+
+
+def _mobius_sums(
+    presence: np.ndarray,
+    w_pre: np.ndarray,
+    w_post: np.ndarray,
+    deg: np.ndarray,
+    p: int,
+    parent: list[int],
+) -> tuple[float, float]:
+    """The weighted sum and the count of distinct tuples, by Mobius inversion.
+
+    inj(T, G) = sum over partitions pi of mu(0, pi) hom(T/pi, G), with
+    mu(0, pi) = prod over blocks of (-1)^(|B| - 1) (|B| - 1)!.  Only
+    partitions with no pattern edge inside a block count (the presence
+    diagonal is zero), and presence is 0/1, so parallel quotient edges
+    collapse.  A block's vertex weight is the product of its members'
+    weights, and its share of the numerator is deg times the number of its
+    members at positions >= p.
+
+    A quotient that is a tree takes one leaf-to-root pass that carries F
+    (weight) and S (weight times numerator) as `freq_graphon` does, plus the
+    count, so every position q is covered at once; the parent of block B is
+    the block of the parent of B's smallest vertex.  A quotient with a cycle
+    takes one einsum per block holding a top-height member, plus one for the
+    count.  Every argument covers only the allowed vertices.
+    """
+    ell = len(parent)
+    partitions = _bell(ell - 1)
+    if partitions > _PARTITION_CAP:
         raise PatternTooLarge(
-            f"{ell}-vertex pattern: the partition-lattice evaluator takes at most {len(_MOBIUS_AXES)}"
+            f"{ell}-vertex pattern: {partitions} partitions exceed the partition-lattice cap {_PARTITION_CAP}"
         )
-    adjacent = {frozenset(e) for e in edges}
-    total = 0.0
-    qs = [None] if numer is None else list(range(p, ell))
-    for part in _set_partitions(tuple(range(ell))):
-        ok = True
-        for block in part:
-            for x, y in itertools.combinations(block, 2):
-                if frozenset((x, y)) in adjacent:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+    ones = np.ones(len(deg))
+    seeds: dict[tuple[int, int], np.ndarray] = {}
+
+    def seed(below: int, top: int) -> np.ndarray:
+        """Rows F, S and count of a block with `below` and `top` members."""
+        if (below, top) not in seeds:
+            w = w_pre**below * w_post**top
+            seeds[below, top] = np.stack((w, w * deg * top, ones))
+        return seeds[below, top]
+
+    total = count = 0.0
+    for block_of, blocks in _independent_partitions(parent):
+        below, top, first = [0] * blocks, [0] * blocks, [-1] * blocks
+        for j, b in enumerate(block_of):
+            if first[b] < 0:
+                first[b] = j
+            if j < p:
+                below[b] += 1
+            else:
+                top[b] += 1
+        coeff = (-1) ** (ell - blocks)
+        for b in range(blocks):
+            coeff *= math.factorial(below[b] + top[b] - 1)
+        merged = sorted({tuple(sorted((block_of[parent[j]], block_of[j]))) for j in range(1, ell)})
+        if len(merged) == blocks - 1:
+            msg = [seed(below[b], top[b]).copy() for b in range(blocks)]
+            for c in range(blocks - 1, 0, -1):
+                F, S, C = msg[block_of[parent[first[c]]]]
+                PF, PS, PC = msg[c] @ presence  # presence is symmetric
+                S *= PF
+                S += F * PS
+                F *= PF
+                C *= PC
+            total += coeff * float(msg[0][1].sum())
+            count += coeff * float(msg[0][2].sum())
             continue
-        coeff = 1.0
-        for block in part:
-            coeff *= (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
-        block_of = {}
-        for bi, block in enumerate(part):
-            for x in block:
-                block_of[x] = bi
-        merged_edges = {
-            tuple(sorted((block_of[i], block_of[j]))) for (i, j) in edges
-        }  # presence is 0/1, so parallel merged edges collapse
-        base = []
-        for block in part:
-            w = weights[block[0]].copy()
-            for x in block[1:]:
-                w = w * weights[x]
-            base.append(w)
-        for q in qs:
-            ops = []
-            expr = []
-            for (x, y) in sorted(merged_edges):
-                ops.append(presence)
-                expr.append(_MOBIUS_AXES[x] + _MOBIUS_AXES[y])
-            for bi, w in enumerate(base):
-                if q is not None and block_of[q] == bi:
-                    ops.append(w * numer)
-                else:
-                    ops.append(w)
-                expr.append(_MOBIUS_AXES[bi])
-            total += coeff * float(np.einsum(",".join(expr) + "->", *ops, optimize=True))
-    return total
+        expr = ",".join([_AXES[a] + _AXES[c] for a, c in merged] + list(_AXES[:blocks])) + "->"
+        rows = [seed(below[b], top[b]) for b in range(blocks)]
+        ops = [presence] * len(merged)
+        path = np.einsum_path(expr, *ops, *(r[0] for r in rows), optimize="greedy")[0]
+        for b in range(blocks):
+            if top[b]:
+                vecs = [r[1] if a == b else r[0] for a, r in enumerate(rows)]
+                total += coeff * float(np.einsum(expr, *ops, *vecs, optimize=path))
+        count += coeff * float(np.einsum(expr, *ops, *(r[2] for r in rows), optimize=path))
+    return total, count
 
 
 def _backtrack_value(
@@ -238,7 +285,11 @@ def _discrete_sum(
     mask = allowed.astype(np.float64)
     w_pre = mask * expb / safe_deg
     w_post = mask / safe_deg
-    weights = [w_pre if j < p else w_post for j in range(ell)]
+
+    # normalized patterns list parents before children, so parent[j] < j
+    parent = [-1] * ell
+    for (a, c) in edges:
+        parent[c] = a
 
     work = float(allowed.sum())
     max_deg = float(deg.max(initial=0.0))
@@ -248,21 +299,18 @@ def _discrete_sum(
             break
 
     if work <= _BACKTRACK_WORK_LIMIT:
-        # normalized patterns list parents before children, so parent[j] < j
-        parent_arr = [-1] * ell
-        for (a, c) in edges:
-            parent_arr[c] = a
         nbr_lists = [np.flatnonzero(presence[v] > 0) for v in range(G.n)]
         order = np.argsort(deg, kind="stable")
         rank = np.empty(G.n, dtype=np.int64)
         rank[order] = np.arange(G.n)
         nbr_lists = [a[np.argsort(rank[a], kind="stable")] for a in nbr_lists]
-        total, count = _backtrack_value(nbr_lists, weights, deg, allowed, p, parent_arr)
+        weights = [w_pre if j < p else w_post for j in range(ell)]
+        total, count = _backtrack_value(nbr_lists, weights, deg, allowed, p, parent)
         return total, count, "backtrack"
 
-    total = _mobius_value(presence, weights, deg, p, edges)
-    ones = [mask.copy() for _ in range(ell)]
-    count = _mobius_value(presence, ones, None, p, edges)
+    # weights vanish off the allowed vertices, so the contractions skip them
+    idx = np.flatnonzero(allowed)
+    total, count = _mobius_sums(presence[np.ix_(idx, idx)], w_pre[idx], w_post[idx], deg[idx], p, parent)
     return total, int(round(count)), "mobius"
 
 

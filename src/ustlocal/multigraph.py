@@ -16,11 +16,13 @@ import numpy as np
 from .errors import (
     EdgeNotInGraph,
     LoopEdge,
+    MalformedEdge,
     ParameterOutOfRange,
     PartitionMismatch,
     TooLargeForExactCheck,
     VertexOutOfRange,
     ZeroMultiplicity,
+    is_integer,
 )
 
 EXACT_EXPANDER_LIMIT = 20
@@ -38,15 +40,15 @@ def _normalize_pair(u: int, v: int) -> tuple[int, int]:
 def _edge_multiset(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate (u, v) pairs or (u, v, mult) triples into normalized pairs with summed counts.
 
-    Returns the arrays a, b (a <= b) and count, pairs in order of first appearance.
+    Returns the arrays a, b (a <= b) and count, pairs in order of first
+    appearance.  An entry of another length, or with an endpoint or count
+    that is not an integer (1.5, True, "1"), raises MalformedEdge.
     """
     out: dict[tuple[int, int], int] = {}
     for entry in entries:
-        if len(entry) == 2:
-            u, v = entry
-            m = 1
-        else:
-            u, v, m = entry
+        if len(entry) not in (2, 3) or not all(is_integer(x) for x in entry):
+            raise MalformedEdge(f"edge entry {tuple(entry)!r} is not (u, v) or (u, v, count) in integers")
+        u, v, m = (*entry, 1)[:3]
         key = _normalize_pair(int(u), int(v))
         out[key] = out.get(key, 0) + int(m)
     pairs = np.array(list(out), dtype=np.int64).reshape(-1, 2)

@@ -9,16 +9,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterOutOfRange
+from .errors import ParameterOutOfRange, is_integer
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator keyed by an integer seed >= 0 and an index path."""
+    """Philox generator keyed by an integer seed >= 0 and an index path.
+
+    A seed that is not an integer (a float, a bool, a string) raises
+    ParameterOutOfRange rather than being cast.
+    """
     key = tuple(int(p) for p in path)
-    if int(seed) < 0 or any(p < 0 for p in key):
-        raise ParameterOutOfRange(f"seed {seed} and stream path {key} must be >= 0")
+    if not is_integer(seed) or seed < 0 or any(p < 0 for p in key):
+        raise ParameterOutOfRange(f"seed {seed!r} and stream path {key} must be integers >= 0")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def sample_count(samples: int) -> int:
+    """The number of Monte Carlo samples as an int; anything but an integer >= 1 raises."""
+    if not is_integer(samples) or samples < 1:
+        raise ParameterOutOfRange(f"samples must be an integer >= 1, got {samples!r}")
+    return int(samples)
 
 
 class UniformBuffer:

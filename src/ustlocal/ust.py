@@ -25,6 +25,7 @@ from .errors import (
     PreconditionError,
     TooManyTrees,
     VertexOutOfRange,
+    ZeroMultiplicity,
 )
 from .multigraph import MultiGraph, _edge_multiset, _normalize_pair, forest_roots
 from .rng import UniformBuffer, stream
@@ -162,7 +163,9 @@ def conditional_sample(
     Realized through the spatial Markov property: delete the exclude set,
     contract the include set, sample, and lift edges back through the
     contraction.  Exclude entries follow delete() semantics: (u, v) removes
-    one parallel copy, (u, v, m) removes m.
+    one parallel copy, (u, v, m) removes m.  An exclude set that names an
+    absent edge or a count below 1 raises ConditioningDisconnects; a
+    malformed entry raises MalformedEdge.
     """
     inc_u, inc_v, _counts = _edge_multiset(include)
     include_pairs = list(zip(inc_u.tolist(), inc_v.tolist()))
@@ -179,7 +182,7 @@ def conditional_sample(
 
     try:
         stripped = G.delete(exclude)
-    except Exception as exc:  # noqa: BLE001 - surface as a conditioning failure
+    except (EdgeNotInGraph, ZeroMultiplicity) as exc:
         raise ConditioningDisconnects(str(exc)) from exc
     try:
         quotient, vmap = stripped.contract(include_pairs)

@@ -13,11 +13,13 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import GraphDisconnected, InvalidVertices, ParameterOutOfRange
+from .errors import GraphDisconnected, InvalidVertices, ParameterOutOfRange, is_integer
 from .multigraph import MultiGraph, subset_cuts
-from .rng import stream
+from .rng import sample_count, stream
 
 EXACT_CHEEGER_LIMIT = 18
+# lockstep walk steps between two compactions of the walker array
+_COMPACT_EVERY = 8
 
 
 @dataclass
@@ -128,6 +130,8 @@ def spectral_profile(G: MultiGraph) -> WalkProfile:
 
 def _check_hitting_args(G: MultiGraph, w: int, u: int, v: int) -> None:
     for x in (w, u, v):
+        if not is_integer(x):
+            raise InvalidVertices(f"vertex {x!r} is not an integer")
         if not (0 <= x < G.n):
             raise InvalidVertices(f"vertex {x} outside 0..{G.n - 1}")
     if u == v:
@@ -167,22 +171,35 @@ def hitting_before_return_mc(
     """Monte Carlo estimate of P_w[tau_v < tau_u^+] with binomial standard error.
 
     All walkers advance in lockstep through `MultiGraph.step_table`: a
-    walker at x moves to nb[base[x] + U] with U uniform on 0..deg(x) - 1,
-    that is to y with probability mult(x, y) / deg(x).  Walkers that reach u
-    or v leave the array after the step.
+    walker at x moves to nb[base[x] + floor(U deg(x))] with U uniform on
+    [0, 1), that is to y with probability mult(x, y) / deg(x) up to
+    deg(x) 2^-53, since U takes multiples of 2^-53.  Every walker first
+    steps away from w, so w = u counts returns to u.  From then on u and v
+    are absorbing: their rows are overridden by a one-entry row that holds
+    the vertex itself, so a walker there stays put.  Every
+    `_COMPACT_EVERY` steps the absorbed walkers are counted and leave the
+    array.
     """
     _check_hitting_args(G, w, u, v)
-    if samples < 1:
-        raise ParameterOutOfRange("samples must be >= 1")
+    samples = sample_count(samples)
     rng = stream(seed)
     nb, base, deg = G.step_table()
-    cur = np.full(samples, w, dtype=np.int64)
+    start, width = base.copy(), deg.astype(np.float64)
+    for x in (u, v):
+        # x appears in the (sorted) row of its first neighbour y
+        y = nb[base[x]]
+        start[x] = base[y] + np.searchsorted(nb[base[y] : base[y] + deg[y]], x)
+        width[x] = 1.0
+    cur = nb[base[w] + (rng.random(samples) * deg[w]).astype(np.int64)]
     success = 0
-    while cur.size:
-        cur = nb[base[cur] + rng.integers(0, deg[cur])]
+    while True:
         hit_v = cur == v
         success += int(hit_v.sum())
         cur = cur[~(hit_v | (cur == u))]
+        if not cur.size:
+            break
+        for _ in range(_COMPACT_EVERY):
+            cur = nb[start[cur] + (rng.random(cur.size) * width[cur]).astype(np.int64)]
     p = success / samples
     stderr = math.sqrt(p * (1.0 - p) / samples)
     return p, stderr

@@ -1,0 +1,60 @@
+"""Seeds, sample counts and edge entries of the wrong type raise typed errors.
+
+Each of these used to be cast (a float seed or vertex ran as its integer
+part, a count of 1.5 removed one copy) or escaped as a raw TypeError,
+ValueError or IndexError.
+"""
+import numpy as np
+import pytest
+
+from ustlocal.branching import root_ball_distribution_mc
+from ustlocal.errors import ConditioningDisconnects, MalformedEdge, ParameterOutOfRange
+from ustlocal.graphon import constant_graphon
+from ustlocal.multigraph import complete_graph
+from ustlocal.rng import stream
+from ustlocal.ust import conditional_sample, wilson_sample
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None, -1])
+def test_stream_rejects_non_integer_seeds(seed):
+    with pytest.raises(ParameterOutOfRange):
+        stream(seed)
+
+
+def test_stream_takes_numpy_integer_seeds():
+    assert stream(np.int64(7)).random() == stream(7).random()
+    assert stream(np.uint16(7), 2).random() == stream(7, 2).random()
+
+
+def test_samplers_reject_float_seeds():
+    # every sampler draws through stream, so none casts 1.5 to 1
+    with pytest.raises(ParameterOutOfRange):
+        wilson_sample(complete_graph(4), 1.5)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, 0, "10"])
+def test_branching_rejects_non_integer_samples(samples):
+    with pytest.raises(ParameterOutOfRange):
+        root_ball_distribution_mc(constant_graphon(1.0), 1, samples, seed=1)
+
+
+@pytest.mark.parametrize("entry", [(0, 1, 1.5), (0, 1, True), (0, 1, "2"), (0.0, 1), (0, 1, 2, 3), (0,)])
+def test_malformed_edge_entries(entry):
+    K4 = complete_graph(4)
+    with pytest.raises(MalformedEdge):
+        K4.delete([entry])
+    with pytest.raises(MalformedEdge):
+        K4.contract([entry])
+    with pytest.raises(MalformedEdge):
+        conditional_sample(K4, [], [entry], seed=1)
+    with pytest.raises(MalformedEdge):
+        conditional_sample(K4, [entry], [], seed=1)
+
+
+def test_conditioning_errors_keep_their_class():
+    K4 = complete_graph(4)
+    with pytest.raises(ConditioningDisconnects):
+        conditional_sample(K4, [], [(0, 1, 2)], seed=1)  # more copies than the graph has
+    with pytest.raises(ConditioningDisconnects):
+        conditional_sample(K4, [], [(0, 1, 0)], seed=1)  # a count below 1
+    assert complete_graph(4).delete([(0, 1, np.int64(1))]).num_edges == 5

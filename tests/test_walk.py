@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ustlocal.walk import (
 )
 
 from conftest import gnp, random_connected_graph
+from walk_oracle import hitting_before_return_lockstep
 
 
 def test_triangle_return_probability():
@@ -176,3 +179,59 @@ def test_dense_expander_hitting_law(rng):
 def test_profile_needs_two_vertices(n):
     with pytest.raises(InvalidVertices):
         spectral_profile(MultiGraph.build(n, []))
+
+
+def test_mc_first_step_leaves_w_equal_u():
+    # from 1 the walk reaches 2 at once or returns to 1 through 0, evenly; a
+    # walker absorbed at u = 1 before its first step would never succeed
+    G = path_graph(3)
+    assert hitting_before_return_exact(G, 1, 1, 2) == pytest.approx(0.5)
+    est, se = hitting_before_return_mc(G, 1, 1, 2, 20000, seed=12)
+    assert abs(est - 0.5) <= 4 * se
+
+
+def test_mc_matches_lockstep_oracle(rng):
+    # the absorbing, batched walk against the per-step compaction it replaced
+    for seed in range(200, 206):
+        n = int(rng.integers(4, 12))
+        G = random_connected_graph(rng, n, 0.6, max_mult=3)
+        w, u, v = int(rng.integers(n)), 0, n - 1
+        if w == v:
+            w = u
+        est, se = hitting_before_return_mc(G, w, u, v, 20000, seed=seed)
+        ref, ref_se = hitting_before_return_lockstep(G, w, u, v, 20000, seed=seed)
+        assert abs(est - ref) <= 4 * max(math.hypot(se, ref_se), 1e-4)
+
+
+def test_float_draw_stays_below_degree():
+    # floor(U d) with U at most 1 - 2^-53 never reaches d, for every degree up
+    # to 5e7, so a float draw never steps past its row of the step table
+    top = np.nextafter(1.0, 0.0)
+    for lo in range(1, 50_000_001, 1_000_000):
+        d = np.arange(lo, lo + 1_000_000, dtype=np.float64)
+        assert (np.floor(top * d) < d).all()
+        assert (np.floor(top * d) == d - 1).all()
+
+
+@pytest.mark.parametrize("vertex", [0.5, 1.0, True, "1"])
+def test_hitting_rejects_non_integer_vertices(vertex):
+    G = complete_graph(3)
+    with pytest.raises(InvalidVertices):
+        hitting_before_return_exact(G, vertex, 0, 2)
+    with pytest.raises(InvalidVertices):
+        hitting_before_return_mc(G, vertex, 0, 2, 10, seed=1)
+    with pytest.raises(InvalidVertices):
+        hitting_before_return_mc(G, 0, 1, vertex, 10, seed=1)
+
+
+def test_hitting_accepts_numpy_integer_vertices():
+    G = complete_graph(4)
+    w, u, v = np.int64(1), np.int32(0), np.uint8(3)
+    assert hitting_before_return_exact(G, w, u, v) == hitting_before_return_exact(G, 1, 0, 3)
+    assert hitting_before_return_mc(G, w, u, v, 500, seed=4) == hitting_before_return_mc(G, 1, 0, 3, 500, seed=4)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, 1.0, "10"])
+def test_mc_rejects_non_integer_samples(samples):
+    with pytest.raises(ParameterOutOfRange):
+        hitting_before_return_mc(complete_graph(3), 0, 0, 1, samples, seed=1)
