@@ -22,7 +22,6 @@ from .extremal import (
     DegreeBound,
     closed_form_max,
     degree_density_bound,
-    n_point_gradient_oracle,
     optimize_lemma_max,
     sharpness_graph,
 )

@@ -310,6 +310,10 @@ def _discrete_sum(
 
     # weights vanish off the allowed vertices, so the contractions skip them
     idx = np.flatnonzero(allowed)
+    if len(idx) < ell:
+        # no tuple of distinct vertices fits; the lattice sum would return
+        # its cancellation residue instead of 0
+        return 0.0, 0, "mobius"
     total, count = _mobius_sums(presence[np.ix_(idx, idx)], w_pre[idx], w_post[idx], deg[idx], p, parent)
     return total, int(round(count)), "mobius"
 
@@ -387,11 +391,11 @@ def freq_minus(
 ) -> FreqReport:
     """Tuples avoid V0 and use no pattern edge from E0; whole-graph degrees and b.
 
-    Vertices in V0 and the endpoints of E0 must lie in 0..n-1.
+    Vertices in V0 and the endpoints of E0 must be integers in 0..n-1.
     """
     ell, p, edges, stab = _pattern(T)
     allowed = ~G._check_vertex_set(V0)
-    E0 = [(int(entry[0]), int(entry[1])) for entry in E0]
+    E0 = [(entry[0], entry[1]) for entry in E0]
     G._check_vertex_set(itertools.chain.from_iterable(E0))
     deg = G.degrees
     if (deg[allowed] == 0).any():

@@ -37,20 +37,29 @@ def _normalize_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _edge_entry(entry) -> tuple[int, int, int]:
+    """(u, v, count) of a (u, v) or (u, v, count) entry, count 1 when absent.
+
+    An entry of another length, or with an endpoint or count that is not an
+    integer (1.5, True, "1"), raises MalformedEdge.
+    """
+    if len(entry) not in (2, 3) or not all(is_integer(x) for x in entry):
+        raise MalformedEdge(f"edge entry {tuple(entry)!r} is not (u, v) or (u, v, count) in integers")
+    u, v, m = (*entry, 1)[:3]
+    return int(u), int(v), int(m)
+
+
 def _edge_multiset(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate (u, v) pairs or (u, v, mult) triples into normalized pairs with summed counts.
 
     Returns the arrays a, b (a <= b) and count, pairs in order of first
-    appearance.  An entry of another length, or with an endpoint or count
-    that is not an integer (1.5, True, "1"), raises MalformedEdge.
+    appearance.  A malformed entry raises MalformedEdge (see `_edge_entry`).
     """
     out: dict[tuple[int, int], int] = {}
     for entry in entries:
-        if len(entry) not in (2, 3) or not all(is_integer(x) for x in entry):
-            raise MalformedEdge(f"edge entry {tuple(entry)!r} is not (u, v) or (u, v, count) in integers")
-        u, v, m = (*entry, 1)[:3]
-        key = _normalize_pair(int(u), int(v))
-        out[key] = out.get(key, 0) + int(m)
+        u, v, m = _edge_entry(entry)
+        key = _normalize_pair(u, v)
+        out[key] = out.get(key, 0) + m
     pairs = np.array(list(out), dtype=np.int64).reshape(-1, 2)
     return pairs[:, 0], pairs[:, 1], np.array(list(out.values()), dtype=np.int64)
 
@@ -221,8 +230,12 @@ class MultiGraph:
 
     @classmethod
     def build(cls, n: int, edge_list: Iterable[Sequence[int]]) -> "MultiGraph":
-        """Build from (u, v) or (u, v, multiplicity) entries; parallel entries accumulate."""
-        rows = [entry if len(entry) == 3 else (*entry, 1) for entry in edge_list]
+        """Build from (u, v) or (u, v, multiplicity) entries; parallel entries accumulate.
+
+        A malformed entry raises MalformedEdge (see `_edge_entry`); the rest
+        is checked as in `from_arrays`.
+        """
+        rows = [_edge_entry(entry) for entry in edge_list]
         table = np.array(rows, dtype=np.int64).reshape(-1, 3)
         return cls.from_arrays(n, table[:, 0], table[:, 1], table[:, 2])
 
@@ -288,8 +301,19 @@ class MultiGraph:
         return int(self.degrees[v])
 
     def _vertices(self, A: Iterable[int]) -> np.ndarray:
-        """The vertices of A as an int64 array; one outside 0..n-1 raises VertexOutOfRange."""
-        idx = np.asarray(A if isinstance(A, np.ndarray) else list(A), dtype=np.int64).ravel()
+        """The vertices of A as an int64 array.
+
+        An entry that is not an integer (0.5, True, "1") or lies outside
+        0..n-1 raises VertexOutOfRange.  An integer array is taken as is.
+        """
+        if isinstance(A, np.ndarray) and A.dtype.kind in "iu":
+            idx = A.astype(np.int64, copy=False).ravel()
+        else:
+            items = A.ravel().tolist() if isinstance(A, np.ndarray) else list(A)
+            for x in items:
+                if not is_integer(x):
+                    raise VertexOutOfRange(f"vertex {x!r} is not an integer")
+            idx = np.array(items, dtype=np.int64)
         bad = np.flatnonzero((idx < 0) | (idx >= self.n))
         if len(bad):
             raise VertexOutOfRange(f"vertex {int(idx[bad[0]])} outside 0..{self.n - 1}")

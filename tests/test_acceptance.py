@@ -14,6 +14,7 @@ import scipy.stats
 import ustlocal as ul
 
 from conftest import gnp, random_connected_graph, random_connected_min_degree
+from extremal_oracle import n_point_gradient_oracle
 
 E1 = math.exp(-1)
 
@@ -254,7 +255,7 @@ def test_c12_extremal_optimizer():
         closed = ul.closed_form_max(k)
         got = ul.optimize_lemma_max(k, tol=1e-8)
         worst = max(worst, abs(got - closed) / max(closed, 1.0))
-        oracle = ul.n_point_gradient_oracle(k)
+        oracle = n_point_gradient_oracle(k)
         if oracle > closed * (1 + 1e-12) + 1e-15:
             exceeded = True
     ok = worst <= 1e-6 and not exceeded

@@ -1,4 +1,4 @@
-"""Seeds, sample counts and edge entries of the wrong type raise typed errors.
+"""Seeds, sample counts, edge entries and vertex sets of the wrong type raise typed errors.
 
 Each of these used to be cast (a float seed or vertex ran as its integer
 part, a count of 1.5 removed one copy) or escaped as a raw TypeError,
@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 from ustlocal.branching import root_ball_distribution_mc
-from ustlocal.errors import ConditioningDisconnects, MalformedEdge, ParameterOutOfRange
+from ustlocal.decompose import trivial_decomposition
+from ustlocal.errors import (
+    ConditioningDisconnects,
+    MalformedEdge,
+    ParameterOutOfRange,
+    VertexOutOfRange,
+)
+from ustlocal.freq import freq_graph_component, freq_minus
 from ustlocal.graphon import constant_graphon
-from ustlocal.multigraph import complete_graph
+from ustlocal.multigraph import MultiGraph, complete_graph
 from ustlocal.rng import stream
+from ustlocal.trees import RootedTree
 from ustlocal.ust import conditional_sample, wilson_sample
 
 
@@ -58,3 +66,44 @@ def test_conditioning_errors_keep_their_class():
     with pytest.raises(ConditioningDisconnects):
         conditional_sample(K4, [], [(0, 1, 0)], seed=1)  # a count below 1
     assert complete_graph(4).delete([(0, 1, np.int64(1))]).num_edges == 5
+
+
+@pytest.mark.parametrize("n,entry", [(2, (0, 1, 1.5)), (3, (0.5, 1.7, 1)), (2, (0, 1, True)),
+                                     (2, (0, 1, "2")), (2, (0, 1, 2, 3)), (2, (0,))])
+def test_build_rejects_malformed_entries(n, entry):
+    # build used to truncate: (0, 1, 1.5) gave one copy, (0.5, 1.7, 1) the edge (0, 1)
+    with pytest.raises(MalformedEdge):
+        MultiGraph.build(n, [(0, 1), entry])
+
+
+def test_build_takes_numpy_integer_entries():
+    G = MultiGraph.build(3, [(np.int64(0), np.int32(2), np.uint8(2))])
+    assert list(G.edges()) == [(0, 2, 2)]
+
+
+CHERRY = RootedTree([-1, 0, 0])
+
+
+@pytest.mark.parametrize("vertices", [[0.5], [2.9, 1], [True], np.array([0.5]),
+                                      np.array([True, False]), ["1"]])
+def test_vertex_sets_reject_non_integers(vertices):
+    # a float or bool vertex used to run as its integer part
+    K4 = complete_graph(4)
+    with pytest.raises(VertexOutOfRange):
+        freq_minus(CHERRY, K4, vertices)
+    with pytest.raises(VertexOutOfRange):
+        freq_minus(CHERRY, K4, [], [(0, vertices[0])])
+    with pytest.raises(VertexOutOfRange):
+        K4.induced_subgraph(vertices)
+    if np.asarray(vertices).dtype != bool:  # a bool `good` is a vertex mask
+        with pytest.raises(VertexOutOfRange):
+            freq_graph_component(CHERRY, K4, trivial_decomposition(K4), 1, list(vertices))
+
+
+def test_vertex_sets_take_numpy_integers():
+    K4 = complete_graph(4)
+    for vertices in (np.array([0, 2], dtype=np.int32), np.array([0, 2], dtype=np.uint16),
+                     [np.int64(0), 2]):
+        _H, index = K4.induced_subgraph(vertices)
+        assert index == {0: 0, 2: 1}
+    assert freq_minus(CHERRY, K4, np.array([1], dtype=np.int8)).value == freq_minus(CHERRY, K4, [1]).value

@@ -379,7 +379,7 @@ def test_extremal_nonpositive_k_max_exit_code(capsys, k_max):
 
 
 def test_extremal_k_max_14_matches_closed_form(capsys):
-    # the maximum is about 7e8 at k = 14, so the oracle cross-check is relative
+    # the maximum is about 7e8 at k = 14, so the closed-form check is relative
     assert main(["extremal", "--k-max", "14"]) == 0
     rows = json.loads(capsys.readouterr().out)["optimizer"]
     assert [row["k"] for row in rows] == list(range(2, 15))

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from ustlocal import extremal
 from ustlocal.errors import InvalidDegree, NumericError
 from ustlocal.extremal import (
     closed_form_max,
     degree_density_bound,
-    n_point_gradient_oracle,
     optimize_lemma_max,
     sharpness_graph,
 )
 from ustlocal.graphon import StepGraphon
+
+from extremal_oracle import n_point_gradient_oracle
 
 
 def test_bound_values():
@@ -45,6 +47,14 @@ def test_float_overflow_is_numeric_error():
 def test_optimizer_matches_closed_form():
     for k in range(2, 9):
         assert optimize_lemma_max(k, tol=1e-8) == pytest.approx(closed_form_max(k), abs=1e-9)
+
+
+def test_optimizer_refuses_value_off_the_closed_form(monkeypatch):
+    # the golden-section value is checked against ((k-1)/e)^(k-1) on every call
+    monkeypatch.setattr(extremal, "_golden_max", lambda k, lo, hi: closed_form_max(k) * (1 + 1e-6))
+    with pytest.raises(NumericError, match="closed form"):
+        optimize_lemma_max(5, tol=1e-8)
+    assert optimize_lemma_max(5, tol=1e-6) == closed_form_max(5) * (1 + 1e-6)
 
 
 def test_oracle_never_exceeds_supremum():

@@ -300,6 +300,15 @@ def test_freq_minus_all_vertices_blocked():
     assert freq_minus(EDGE, G, list(range(6)), []).value == 0.0
 
 
+@pytest.mark.parametrize("parent,blocked", [([-1, 0, 0, 1, 2], 26), ([-1, 0, 1, 2, 3, 4], 25)])
+def test_freq_minus_fewer_allowed_than_pattern_is_exact_zero(parent, blocked):
+    # the work rule picks the lattice evaluator here; its signed sum used to
+    # leave a residue such as -2.26e-22 where no tuple of distinct vertices exists
+    rep = freq_minus(RootedTree(parent), complete_graph(30), range(blocked))
+    assert rep.method == "mobius"
+    assert rep.value == 0.0 and rep.tuple_count == 0
+
+
 def test_freq_minus_vertex_range():
     G = complete_graph(12)
     for bad in (-1, 12):

@@ -62,6 +62,7 @@ CASES = [
                              "--seed", "4", "--sampler", "aldous-broder"]),
     ("resistance.json", ["resistance", "--graph", "gen.txt", "--u", "0", "--v", "59"]),
     ("resistance_multi.json", ["resistance", "--graph", "multi.txt", "--u", "3", "--v", "17"]),
+    ("extremal.json", ["extremal", "--k-max", "129"]),
 ]
 
 
