@@ -2,14 +2,15 @@
 
 Effective resistance via a grounded dense Cholesky solve, Kirchhoff edge
 probabilities, and matrix-tree counting in log space (t(K_100) ~ e^451, so
-raw determinants would overflow).
+raw determinants would overflow).  Both factor the same grounded Laplacian
+minor, written once in place by `_grounded_minor`.  scipy.linalg loads on
+first use.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateGraphon,
@@ -21,36 +22,68 @@ from .errors import (
     ParameterOutOfRange,
     SameVertex,
     VertexOutOfRange,
+    is_integer,
 )
 from .multigraph import MultiGraph
+
+
+def _grounded_minor(G: MultiGraph, ground: int) -> np.ndarray:
+    """The Laplacian of G without row and column `ground`, as one (n-1)^2 float64 array.
+
+    -mult is scattered off the diagonal and the degrees go on it, so the
+    entries equal those of (diag(deg) - A) with `ground` deleted.  The array
+    is symmetric and C-ordered; its transpose is the Fortran-ordered view
+    LAPACK can overwrite.
+    """
+    vertex = np.arange(G.n)
+    at = vertex - (vertex > ground)  # each vertex's row in the minor
+    inside = (G.u != ground) & (G.v != ground)
+    a, b = at[G.u[inside]], at[G.v[inside]]
+    w = -G.mult[inside].astype(np.float64)
+    minor = np.zeros((G.n - 1, G.n - 1))
+    minor[a, b] = w
+    minor[b, a] = w
+    np.fill_diagonal(minor, np.delete(G.degrees, ground))
+    return minor
+
+
+def _factor_grounded(G: MultiGraph, ground: int) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of the grounded minor, in `scipy.linalg.cho_factor` form.
+
+    Needs n >= 2; a factorization that fails raises NumericError.
+    """
+    import scipy.linalg
+
+    try:
+        return scipy.linalg.cho_factor(_grounded_minor(G, ground).T, lower=True, overwrite_a=True,
+                                       check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"grounded Laplacian minor is not positive definite ({exc})") from None
 
 
 class LaplacianSystem:
     """Dense graph Laplacian with a cached Cholesky factor of the grounded matrix.
 
     Read-only after construction; concurrent solves against one factorization
-    are safe.  Requires a connected graph.
+    are safe.  Requires a connected graph and a ground vertex of it.
     """
 
     def __init__(self, G: MultiGraph, ground: int = 0):
         if not G.is_connected():
             raise GraphDisconnected("Laplacian system needs a connected graph")
+        if G.n and not (is_integer(ground) and 0 <= ground < G.n):
+            raise VertexOutOfRange(f"ground {ground!r} is not a vertex in 0..{G.n - 1}")
         self.n = G.n
         self.ground = ground
-        A = G.adjacency_matrix()
-        self.L = np.diag(G.degrees.astype(np.float64)) - A
-        keep = [v for v in range(G.n) if v != ground]
-        self._keep = np.array(keep, dtype=np.int64)
-        if G.n > 1:
-            reduced = self.L[np.ix_(keep, keep)]
-            self._factor = scipy.linalg.cho_factor(reduced, lower=True, check_finite=False)
-        else:
-            self._factor = None
+        self._keep = np.flatnonzero(np.arange(G.n) != ground)
+        self._factor = _factor_grounded(G, ground) if G.n > 1 else None
 
     def solve_grounded(self, b: np.ndarray) -> np.ndarray:
         """Solve L x = b with x[ground] = 0; b must sum to zero."""
         x = np.zeros(self.n)
         if self._factor is not None:
+            import scipy.linalg
+
             x[self._keep] = scipy.linalg.cho_solve(
                 self._factor, b[self._keep], check_finite=False
             )
@@ -95,19 +128,15 @@ def edge_ust_probability(G: MultiGraph, e) -> float:
 
 
 def log_spanning_tree_count(G: MultiGraph) -> float:
-    """log t(G) via the log-determinant of a principal Laplacian minor."""
+    """log t(G) = log det of the grounded Laplacian minor, 2 sum log diag of its Cholesky factor."""
     if G.n == 0:
         raise InvalidVertices("a graph with no vertices has no spanning tree")
     if not G.is_connected():
         raise GraphDisconnected("spanning trees exist only in connected graphs")
     if G.n <= 1:
         return 0.0
-    A = G.adjacency_matrix()
-    L = np.diag(G.degrees.astype(np.float64)) - A
-    sign, logdet = np.linalg.slogdet(L[1:, 1:])
-    if sign <= 0:
-        raise NumericError(f"nonpositive minor determinant (sign {sign})")
-    return float(logdet)
+    factor, _lower = _factor_grounded(G, 0)
+    return 2.0 * float(np.log(np.diag(factor)).sum())
 
 
 def graphon_tree_count_rhs(W) -> float:

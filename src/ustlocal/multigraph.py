@@ -102,16 +102,28 @@ def forest_roots(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], i
 def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     """(indptr, indices, weights) of the symmetric adjacency of the edges (u, v, w).
 
-    Row r takes its entries from the edges (a, r) first, then from (r, b); a
-    stable sort by row keeps their order, so for pairs in lexicographic
-    order with a < r < b every row lists its neighbours in increasing order.
+    Row r lists the edges (a, r) first, then (r, b); for pairs in
+    lexicographic order with a < r < b every row lists its neighbours in
+    increasing order.  The (r, b) half is already in row order (u is
+    sorted), so only the v half is stable-sorted, keyed in the narrowest
+    unsigned type that holds n - 1 (numpy sorts it by radix up to
+    n = 65 536).  Both halves are then scattered into place: the k-th
+    sorted (a, r) entry lands k places past the (r', b) entries of the rows
+    r' < r, and the i-th (r, b) entry i places past the (a, r') entries of
+    the rows r' <= r.
     """
-    rows = np.concatenate([v, u])
-    order = np.argsort(rows, kind="stable")
-    indices = np.concatenate([u, v])[order]
-    weights = np.concatenate([w, w])[order]
+    m = len(u)
+    ups, downs = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
+    up_ends, down_ends = np.cumsum(ups), np.cumsum(downs)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    np.add(up_ends, down_ends, out=indptr[1:])
+    order = np.argsort(v.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    first = np.arange(m) + np.repeat(down_ends - downs, ups)
+    second = np.arange(m) + np.repeat(up_ends, downs)
+    indices = np.empty(2 * m, dtype=np.int64)
+    weights = np.empty(2 * m, dtype=w.dtype)
+    indices[first], weights[first] = u[order], w[order]
+    indices[second], weights[second] = v, w
     return indptr, indices, weights
 
 
@@ -579,11 +591,6 @@ def _parse_edge_list_lines(text: str) -> tuple[int, np.ndarray, np.ndarray, np.n
     return (n, *_gather_edges(values, widths[1:]))
 
 
-# byte classes of the fast path: digits, and the separators it understands
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[ord("0"):ord("9") + 1] = True
-_PLAIN = _DIGIT.copy()
-_PLAIN[[ord(" "), ord("\t"), ord("\n")]] = True
 # 18 digits stay below 2**63; longer tokens go to the checked reader
 _MAX_DIGITS = 18
 
@@ -592,26 +599,38 @@ def _parse_edge_list_bytes(text: str) -> tuple[int, np.ndarray, np.ndarray, np.n
     """(n, u, v, mult) of a well-formed file of digits, spaces, tabs and
     newlines, by vectorized passes over its bytes; None for anything else.
 
-    Token starts are digits not preceded by a digit, and a line's width is
-    the number of token starts between its newlines.  The values come from one
-    `np.fromstring` call, whose count must match the token count.
+    Bytes are classed by comparison: a digit is one with b - "0" < 10 in
+    uint8, where the bytes below "0" wrap past 10, and the file is plain when
+    its digits, spaces, tabs and newlines add up to its length.  Token
+    boundaries are the bytes whose digit class differs from the byte
+    before, with non-digits outside the file, so they alternate start, stop.
+    A line's width is the number of token starts between its newlines.  The
+    values come from one `np.fromstring` call, whose count must match the
+    token count.
     """
-    if not text.isascii():
+    if not text or not text.isascii():
         return None
     raw = text.encode("ascii")
     b = np.frombuffer(raw, dtype=np.uint8)
-    if not _PLAIN[b].all():
+    digit = (b - np.uint8(ord("0"))) < 10
+    newline = b == ord("\n")
+    plain = (np.count_nonzero(digit) + np.count_nonzero(newline)
+             + np.count_nonzero(b == ord(" ")) + np.count_nonzero(b == ord("\t")))
+    if plain != len(b):
         return None
-    digit = _DIGIT[b]
-    starts = np.flatnonzero(digit & ~np.r_[False, digit[:-1]])
-    stops = np.flatnonzero(digit & ~np.r_[digit[1:], False]) + 1
+    edge = np.empty(len(b) + 1, dtype=bool)
+    edge[0], edge[-1] = digit[0], digit[-1]
+    np.not_equal(digit[1:], digit[:-1], out=edge[1:-1])
     del digit
+    bounds = np.flatnonzero(edge)
+    del edge
+    starts, stops = bounds[::2], bounds[1::2]
     if len(starts) and int((stops - starts).max()) > _MAX_DIGITS:
         return None
     # tokens before each newline, so the token count of every line
-    before = np.searchsorted(starts, np.flatnonzero(b == ord("\n")))
+    before = np.searchsorted(starts, np.flatnonzero(newline))
     widths = np.diff(before, prepend=0, append=len(starts))
-    del b, starts, stops, before
+    del b, newline, bounds, starts, stops, before
     widths = widths[widths > 0]
     if not len(widths) or widths[0] != 2:
         return None
@@ -630,6 +649,9 @@ def _parse_edge_list_bytes(text: str) -> tuple[int, np.ndarray, np.ndarray, np.n
 
 def _gather_edges(values: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u, v, mult from the concatenated edge-line values and each line's width (2 or 3)."""
+    if bool((widths == 2).all()):
+        u, v = values.reshape(-1, 2).T
+        return u, v, np.ones(len(u), dtype=np.int64)
     starts = np.cumsum(widths) - widths
     u, v = values[starts], values[starts + 1]
     mult = np.where(widths == 3, values[np.minimum(starts + 2, len(values) - 1)], 1)

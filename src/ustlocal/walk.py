@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GraphDisconnected, InvalidVertices, ParameterOutOfRange, is_integer
 from .multigraph import MultiGraph, subset_cuts
@@ -47,6 +46,8 @@ def _lazy_walk_matrix(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lazy_lambda2(G: MultiGraph) -> float:
+    import scipy.linalg
+
     M, _inv_sqrt = _lazy_walk_matrix(G)
     vals = scipy.linalg.eigvalsh(M)
     return float(vals[-2])
@@ -54,6 +55,8 @@ def _lazy_lambda2(G: MultiGraph) -> float:
 
 def _fiedler_vector(G: MultiGraph) -> np.ndarray:
     """Eigenvector for lambda_2 of the lazy chain, in walk coordinates."""
+    import scipy.linalg
+
     M, inv_sqrt = _lazy_walk_matrix(G)
     vals, vecs = scipy.linalg.eigh(M)
     y = vecs[:, -2] * inv_sqrt

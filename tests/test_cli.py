@@ -516,8 +516,10 @@ def test_non_integer_decomposition_labels_exit_code(workdir, capsys, label):
 
 
 def test_import_loads_no_sparse_graph_code():
-    # the benchmark's setup time is this import: scipy.sparse loads on first use only
-    probe = "import sys, ustlocal; print(sorted({'scipy.sparse', 'scipy.sparse.csgraph'} & set(sys.modules)))"
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    # the benchmark's setup time is this import: scipy.sparse and scipy.linalg load on first use only
+    lazy = "{'scipy.sparse', 'scipy.sparse.csgraph', 'scipy.linalg'}"
+    for module in ("ustlocal", "ustlocal.cli"):
+        probe = f"import sys, {module}; print(sorted({lazy} & set(sys.modules)))"
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]", module

@@ -14,6 +14,7 @@ from ustlocal.errors import (
     EdgeNotInGraph,
     GraphDisconnected,
     NotSimple,
+    NumericError,
     ParameterOutOfRange,
     SameVertex,
     VertexOutOfRange,
@@ -101,6 +102,12 @@ def test_tree_count_disconnected():
         log_spanning_tree_count(MultiGraph.build(3, [(0, 1, 1)]))
 
 
+def test_tree_count_singular_float_minor():
+    # 1 + 2**60 rounds to 2**60 in float64, so the minor's Cholesky factor meets a zero pivot
+    with pytest.raises(NumericError):
+        log_spanning_tree_count(MultiGraph.from_arrays(3, [0, 1], [1, 2], [1, 2**60]))
+
+
 def test_normalized_count_complete_graph():
     lhs, rhs = normalized_tree_count_vs_graphon(complete_graph(100), constant_graphon(1.0))
     assert rhs == pytest.approx(1.0, abs=1e-12)
@@ -169,3 +176,9 @@ def test_resistance_below_path_length(rng):
 def test_laplacian_resistance_vertex_range(u, v):
     with pytest.raises(VertexOutOfRange):
         LaplacianSystem(path_graph(4)).resistance(u, v)
+
+
+@pytest.mark.parametrize("ground", [-1, 4, 1.5, True])
+def test_laplacian_ground_vertex_range(ground):
+    with pytest.raises(VertexOutOfRange):
+        LaplacianSystem(path_graph(4), ground=ground)

@@ -257,7 +257,8 @@ def test_subset_cut_table_matches_gray_code_oracle(graph):
 
 SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
 PADDING = st.sampled_from(["", "", " ", "\t", "  \t"])
-BAD_TOKENS = ["x", "1.5", "+1", "-1", "99999999999999999999", "1" + "0" * 18, "9" * 19, "\x0c", "\u00e9"]
+BAD_TOKENS = ["x", "1.5", "+1", "-1", "99999999999999999999", "1" + "0" * 18, "9" * 19, "\x0c", "\u00e9",
+              "/", ":"]
 
 
 @st.composite
@@ -338,4 +339,23 @@ def test_byte_parser_matches_line_parser(text):
 @given(corrupted_edge_list_texts())
 @example("2 1\n0 9999999999999999999\n")  # 19 digits, above 2**63: fromstring would clamp it
 def test_byte_parser_errors_match_line_parser(text):
+    assert _fast_outcome(text) == _lines_outcome(text)
+
+
+# the neighbours of each byte class the fast path accepts: digits ("/" and
+# ":"), tab and newline, space, the ends of ASCII, and one non-ASCII character
+CLASS_NEIGHBOURS = ["/", ":", "\x00", "\x08", "\x0b", "\x0c", "\r", "\x1f", "!", "\x7f", "\x80"]
+
+
+@pytest.mark.parametrize("byte", CLASS_NEIGHBOURS)
+@pytest.mark.parametrize("place", ["in token", "as separator", "after token", "blank line", "header"])
+def test_byte_parser_refuses_class_neighbours(byte, place):
+    text = {
+        "in token": "4 3\n0 1{}2\n1 2 2\n2 3\n",
+        "as separator": "4 3\n0 1\n1{}2 2\n2 3\n",
+        "after token": "4 3\n0 1\n1 2 2{}\n2 3\n",
+        "blank line": "4 3\n0 1\n{}\n1 2 2\n2 3\n",
+        "header": "4{}3\n0 1\n1 2 2\n2 3\n",
+    }[place].format(byte)
+    assert _parse_edge_list_bytes(text) is None
     assert _fast_outcome(text) == _lines_outcome(text)
