@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterOutOfRange
+from .errors import ParameterOutOfRange, is_integer
 from .graphon import StepGraphon
 from .rng import sample_count, stream
 from .trees import CodeInterner
@@ -31,14 +31,16 @@ def _offspring_rates(g: StepGraphon) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _sample_generations(
     g: StepGraphon, r: int, samples: int, rng: np.random.Generator
-) -> tuple[list[int], list[np.ndarray]]:
-    """`samples` independent depth-r processes, one array per generation.
+) -> list[np.ndarray]:
+    """`samples` independent depth-r processes, as child counts.
 
-    Returns the generation sizes (generation 0 holds the roots) and, for
-    generations 1..r, each child's parent position in the generation above,
-    sorted.  Only these are kept: blocks and sampling temporaries are freed
-    as soon as the next generation is placed, which keeps the peak memory low
-    and the same from one call to the next.
+    Entry d gives each particle of generation d (generation 0 holds the
+    roots) its number of children.  Each parent's children come as one run
+    in the generation below, its ancestral child (if any) first, so the
+    counts alone place every particle.  Only these are kept: blocks and
+    sampling temporaries are freed as soon as the next generation is placed,
+    which keeps the peak memory low and the same from one call to the next.
+    Generation r is only counted: its particles are leaves of every ball.
     """
     oth_rate, anc_cum, mu_cum = _offspring_rates(g)
     k = g.k
@@ -46,26 +48,30 @@ def _sample_generations(
         np.searchsorted(mu_cum, rng.random(samples), side="right"), k - 1
     ).astype(np.int64)
     anc_idx = np.arange(samples)  # ancestral particle position inside its generation
-    sizes = [samples]
-    gen_parents: list[np.ndarray] = []
+    gen_counts: list[np.ndarray] = []
     block_ids = np.arange(k, dtype=np.min_scalar_type(k - 1))  # tiled once per parent
-    for _depth in range(r):
-        u = rng.random(samples)
-        anc_block = cur[anc_idx]
+    for depth in range(1, r + 1):
+        u = rng.random(samples)  # drawn for generation r too, which keeps the stream
+        counts = rng.poisson(np.take(oth_rate, cur, axis=0))  # (P, k)
+        per_parent = counts[:, 0].copy()
+        for j in range(1, k):
+            per_parent += counts[:, j]
+        per_parent[anc_idx] += 1
+        gen_counts.append(per_parent)
+        if depth == r:
+            break
         # count the thresholds below u, leaving out the last one: rounding
         # can end a cumulative row below 1.0, and a u above it is block k - 1
+        anc_block = cur[anc_idx]
         anc_child_block = np.zeros(samples, dtype=np.int64)
         for j in range(k - 1):
             anc_child_block += u > anc_cum[anc_block, j]
         del u, anc_block
-        counts = rng.poisson(oth_rate[cur])  # (P, k)
-        per_parent = counts.sum(axis=1)
         oth_block = np.repeat(np.tile(block_ids, len(cur)), counts.reshape(-1))
         del counts
         # each parent lists its ancestral child (if any) first, then its
         # others by block; anc_idx rises with the sample id, and so does the
         # position of each ancestral child in the new generation
-        per_parent[anc_idx] += 1
         starts = np.cumsum(per_parent) - per_parent
         anc_idx = starts[anc_idx]
         del starts
@@ -75,44 +81,60 @@ def _sample_generations(
         cur[anc_idx] = anc_child_block
         cur[is_other] = oth_block
         del is_other, oth_block, anc_child_block
-        gen_parents.append(np.repeat(np.arange(len(per_parent)), per_parent))
-        sizes.append(len(cur))
-    return sizes, gen_parents
+    return gen_counts
 
 
 def _intern_generation(
-    interner: CodeInterner, child_parent: np.ndarray, child_codes: np.ndarray, parent_count: int
+    interner: CodeInterner, counts: np.ndarray, child_codes: np.ndarray | None
 ) -> np.ndarray:
-    """Code ids of `parent_count` parents from their children's ids.
+    """Code ids of the parents with `counts` children each, from their children's ids.
 
-    `child_parent` is sorted.  Parents are bucketed by child count L, so each
-    bucket is an exact (m_L, L) matrix of sorted child ids.  `intern` runs
-    once per distinct row, in order of the row's first parent, which gives
-    the ids that interning parent by parent gives.  Childless parents get 0.
+    `child_codes` lists the children parent by parent; None means every child
+    is a leaf (id 0), so a parent's ball is a star and its id depends on its
+    child count alone.  Otherwise parents are bucketed by child count L, so
+    each bucket is an exact (m_L, L) matrix of sorted child ids.  `intern`
+    runs once per distinct row, in order of the row's first parent, which
+    gives the ids that interning parent by parent gives.  Childless parents
+    get 0.
     """
-    # sort by (parent, code) as one key; parent_count * (max id + 1) is at
-    # most the square of the particle count, far below 2^63; the sort keeps
-    # each parent's children in place, so the remainder is the sorted id
-    span = int(child_codes.max(initial=0)) + 1
-    sorted_codes = child_parent * span
-    sorted_codes += child_codes
-    sorted_codes.sort()
-    sorted_codes %= span
-    counts = np.bincount(child_parent, minlength=parent_count)
+    by_count = np.bincount(counts)
+    if child_codes is None:
+        present = np.flatnonzero(by_count).tolist()
+        firsts = [int(np.argmax(counts == L)) for L in present]
+        lookup = np.zeros(len(by_count), dtype=np.int64)
+        for i in np.argsort(firsts).tolist():
+            lookup[present[i]] = interner.intern((0,) * present[i])
+        return lookup[counts]
     starts = np.cumsum(counts) - counts
-    row_of = np.zeros(parent_count, dtype=np.int64)  # 1 + index into rows; 0: no children
+    # parents in order of child count, each bucket in parent order; the
+    # narrow key makes the stable sort a radix sort
+    order = np.argsort(counts.astype(np.min_scalar_type(len(by_count) - 1)), kind="stable")
+    bounds = np.cumsum(by_count).tolist()
+    span = int(child_codes.max(initial=0)) + 1
+    row_of = np.zeros(len(counts), dtype=np.int64)  # 1 + index into rows; 0: no children
     rows: list[list[int]] = []  # distinct rows of every bucket, bucket by bucket
     firsts = []
-    for L in np.unique(counts[counts > 0]).tolist():
-        parents = np.flatnonzero(counts == L)
-        mat = sorted_codes[starts[parents][:, None] + np.arange(L)]
-        perm = np.lexsort(mat.T[::-1])  # stable, so equal rows keep parent order
-        mat = mat[perm]
+    for L in np.flatnonzero(by_count[1:]).tolist():
+        L += 1
+        parents = order[bounds[L - 1]:bounds[L]]
+        mat = child_codes[starts[parents][:, None] + np.arange(L)]
+        mat.sort(axis=1)
+        keys = mat
+        if span**L <= 2**63:
+            # a sorted row as one integer in base `span`, narrowed so that
+            # the stable sort below is a radix sort where it can be
+            key = mat[:, 0].copy()
+            for j in range(1, L):
+                key *= span
+                key += mat[:, j]
+            keys = key.astype(np.min_scalar_type(span**L - 1))[:, None]
+        perm = np.lexsort(keys.T[::-1])  # stable, so equal rows keep parent order
+        keys = keys[perm]
         parents = parents[perm]
-        new = np.ones(len(mat), dtype=bool)
-        new[1:] = (mat[1:] != mat[:-1]).any(axis=1)
+        new = np.ones(len(perm), dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
         row_of[parents] = len(rows) + np.cumsum(new)
-        rows.extend(mat[new].tolist())
+        rows.extend(mat[perm[new]].tolist())
         firsts.append(parents[new])
     if not rows:
         return row_of
@@ -132,18 +154,18 @@ def root_ball_distribution_mc(
     to 1 exactly.
     """
     samples = sample_count(samples)
-    if r < 1:
-        raise ParameterOutOfRange("radius must be >= 1")
-    sizes, gen_parents = _sample_generations(g, r, samples, stream(seed))
+    if not is_integer(r) or r < 1:
+        raise ParameterOutOfRange(f"radius must be an integer >= 1, got {r!r}")
+    gen_counts = _sample_generations(g, int(r), samples, stream(seed))
     interner = CodeInterner()
-    codes = np.zeros(sizes[r], dtype=np.int64)  # depth-r particles are leaves
-    for depth in range(r - 1, -1, -1):
-        codes = _intern_generation(interner, gen_parents.pop(), codes, sizes[depth])
+    codes = None  # the last generation's particles are leaves
+    while gen_counts:
+        codes = _intern_generation(interner, gen_counts.pop(), codes)
 
     out = {}
-    cids, cnts = np.unique(codes, return_counts=True)
-    for cid, cnt in zip(cids.tolist(), cnts.tolist()):
-        p = cnt / samples
+    tally = np.bincount(codes)
+    for cid in np.flatnonzero(tally).tolist():
+        p = int(tally[cid]) / samples
         out[interner.to_code(cid)] = (p, math.sqrt(p * (1.0 - p) / samples))
     return out
 
@@ -153,8 +175,9 @@ def root_degree_distribution(g: StepGraphon, k_max: int) -> tuple[np.ndarray, fl
 
     Returns (probabilities, tail mass beyond k_max).
     """
-    if k_max < 1:
-        raise ParameterOutOfRange("k_max must be >= 1")
+    if not is_integer(k_max) or k_max < 1:
+        raise ParameterOutOfRange(f"k_max must be an integer >= 1, got {k_max!r}")
+    k_max = int(k_max)
     g.require_nondegenerate()
     b = g.block_b
     probs = np.zeros(k_max)

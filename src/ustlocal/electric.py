@@ -17,6 +17,7 @@ from .errors import (
     EdgeNotInGraph,
     GraphDisconnected,
     InvalidVertices,
+    MalformedEdge,
     NotSimple,
     NumericError,
     ParameterOutOfRange,
@@ -90,8 +91,8 @@ class LaplacianSystem:
         return x
 
     def resistance(self, u: int, v: int) -> float:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise VertexOutOfRange(f"vertices ({u},{v}) outside 0..{self.n - 1}")
+        if not (is_integer(u) and is_integer(v) and 0 <= u < self.n and 0 <= v < self.n):
+            raise VertexOutOfRange(f"vertices ({u!r},{v!r}) are not integers in 0..{self.n - 1}")
         if u == v:
             raise SameVertex(f"u = v = {u}")
         b = np.zeros(self.n)
@@ -103,6 +104,8 @@ class LaplacianSystem:
 
 def effective_resistance(G: MultiGraph, u: int, v: int) -> float:
     """R_eff(u <-> v); +inf for vertices in different components."""
+    if not (is_integer(u) and is_integer(v)):
+        raise ParameterOutOfRange(f"vertices ({u!r},{v!r}) are not integers")
     if u == v:
         raise SameVertex(f"u = v = {u}")
     if not (0 <= u < G.n and 0 <= v < G.n):
@@ -119,6 +122,8 @@ def effective_resistance(G: MultiGraph, u: int, v: int) -> float:
 
 def edge_ust_probability(G: MultiGraph, e) -> float:
     """P(e in UST) = R_eff across the edge's endpoints (Kirchhoff)."""
+    if len(e) < 2 or not (is_integer(e[0]) and is_integer(e[1])):
+        raise MalformedEdge(f"edge {tuple(e)!r} does not start with two integer endpoints")
     x, y = int(e[0]), int(e[1])
     if G.multiplicity(x, y) == 0:
         raise EdgeNotInGraph(f"({x},{y})")

@@ -2,7 +2,8 @@
 
 The direct statements of what `ustlocal.branching._sample_generations` and
 `_intern_generation` compute: each generation's children stably sorted by
-parent, and each parent's children ids, sorted, interned in parent order.
+parent (whose counts per parent are what the library keeps), and each
+parent's children ids, sorted, interned in parent order.
 `sample_kappa` draws one process particle by particle, the per-sample
 sampler that the vectorized pipeline is checked against.  Keep them simple
 rather than fast.
@@ -41,13 +42,15 @@ def sample_generations_oracle(g, r, samples, rng):
     return sizes, gen_parents
 
 
-def intern_generation_oracle(interner, child_parent, child_codes, parent_count):
-    """Code ids of `parent_count` parents; `child_parent` is sorted."""
-    counts = np.bincount(child_parent, minlength=parent_count)
+def intern_generation_oracle(interner, counts, child_codes):
+    """Code ids of the parents with `counts` children each; `child_codes` lists
+    the children parent by parent, and None means every child is a leaf."""
+    if child_codes is None:
+        child_codes = np.zeros(int(np.sum(counts)), dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
     lst = child_codes.tolist()
-    codes = np.empty(parent_count, dtype=np.int64)
-    for p in range(parent_count):
+    codes = np.empty(len(counts), dtype=np.int64)
+    for p in range(len(counts)):
         codes[p] = interner.intern(tuple(sorted(lst[offsets[p]:offsets[p + 1]])))
     return codes
 

@@ -1,4 +1,4 @@
-"""Seeds, sample counts, edge entries and vertex sets of the wrong type raise typed errors.
+"""Seeds, sample counts, radii, edge entries and vertices of the wrong type raise typed errors.
 
 Each of these used to be cast (a float seed or vertex ran as its integer
 part, a count of 1.5 removed one copy) or escaped as a raw TypeError,
@@ -7,8 +7,9 @@ ValueError or IndexError.
 import numpy as np
 import pytest
 
-from ustlocal.branching import root_ball_distribution_mc
+from ustlocal.branching import root_ball_distribution_mc, root_degree_distribution
 from ustlocal.decompose import trivial_decomposition
+from ustlocal.electric import LaplacianSystem, edge_ust_probability, effective_resistance
 from ustlocal.errors import (
     ConditioningDisconnects,
     MalformedEdge,
@@ -17,7 +18,7 @@ from ustlocal.errors import (
 )
 from ustlocal.freq import freq_graph_component, freq_minus
 from ustlocal.graphon import constant_graphon
-from ustlocal.multigraph import MultiGraph, complete_graph
+from ustlocal.multigraph import MultiGraph, complete_graph, path_graph
 from ustlocal.rng import stream
 from ustlocal.trees import RootedTree
 from ustlocal.ust import conditional_sample, wilson_sample
@@ -44,6 +45,28 @@ def test_samplers_reject_float_seeds():
 def test_branching_rejects_non_integer_samples(samples):
     with pytest.raises(ParameterOutOfRange):
         root_ball_distribution_mc(constant_graphon(1.0), 1, samples, seed=1)
+
+
+@pytest.mark.parametrize("r", [1.5, 1.0, True, "2"])
+def test_branching_rejects_non_integer_radius(r):
+    # 1.5 escaped as a raw TypeError and True ran as depth 1
+    with pytest.raises(ParameterOutOfRange):
+        root_ball_distribution_mc(constant_graphon(1.0), r, 10, seed=1)
+
+
+@pytest.mark.parametrize("k_max", [2.5, 3.0, True, "3"])
+def test_root_degree_rejects_non_integer_k_max(k_max):
+    with pytest.raises(ParameterOutOfRange):
+        root_degree_distribution(constant_graphon(1.0), k_max)
+
+
+def test_branching_takes_numpy_integer_radius_and_k_max():
+    W1 = constant_graphon(1.0)
+    assert root_ball_distribution_mc(W1, np.int64(2), np.int32(50), seed=1) == \
+        root_ball_distribution_mc(W1, 2, 50, seed=1)
+    probs, tail = root_degree_distribution(W1, np.uint8(4))
+    want_probs, want_tail = root_degree_distribution(W1, 4)
+    assert probs.tolist() == want_probs.tolist() and tail == want_tail
 
 
 @pytest.mark.parametrize("entry", [(0, 1, 1.5), (0, 1, True), (0, 1, "2"), (0.0, 1), (0, 1, 2, 3), (0,)])
@@ -107,3 +130,27 @@ def test_vertex_sets_take_numpy_integers():
         _H, index = K4.induced_subgraph(vertices)
         assert index == {0: 0, 2: 1}
     assert freq_minus(CHERRY, K4, np.array([1], dtype=np.int8)).value == freq_minus(CHERRY, K4, [1]).value
+
+
+@pytest.mark.parametrize("e", [(0.5, 1.9), (0, 1.0), (True, 1), ("0", 1)])
+def test_edge_ust_probability_rejects_non_integer_endpoints(e):
+    # (0.5, 1.9) used to be truncated to the edge (0, 1), giving 1.0
+    with pytest.raises(MalformedEdge):
+        edge_ust_probability(path_graph(4), e)
+
+
+@pytest.mark.parametrize("u,v", [(0.5, 3), (2.0, 3), (0, 2.0), (True, 3), (0, False), ("1", 3)])
+def test_resistance_rejects_non_integer_vertices(u, v):
+    # used to escape as a raw IndexError or ValueError
+    P4 = path_graph(4)
+    with pytest.raises(ParameterOutOfRange):
+        effective_resistance(P4, u, v)
+    with pytest.raises(VertexOutOfRange):
+        LaplacianSystem(P4).resistance(u, v)
+
+
+def test_resistance_takes_numpy_integer_vertices():
+    P4 = path_graph(4)
+    assert effective_resistance(P4, np.int64(0), np.uint8(3)) == effective_resistance(P4, 0, 3)
+    assert LaplacianSystem(P4).resistance(np.int32(0), 3) == LaplacianSystem(P4).resistance(0, 3)
+    assert edge_ust_probability(P4, (np.int64(1), np.int16(2))) == edge_ust_probability(P4, (1, 2))

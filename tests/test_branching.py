@@ -10,6 +10,7 @@ from ustlocal.branching import root_ball_distribution_mc, root_degree_distributi
 from ustlocal.errors import DegenerateGraphon, ParameterOutOfRange
 from ustlocal.graphon import StepGraphon, constant_graphon
 from ustlocal.rng import stream
+from ustlocal.trees import CodeInterner
 
 from branching_oracle import (
     intern_generation_oracle,
@@ -149,12 +150,29 @@ def test_mc_matches_parent_by_parent_interning(monkeypatch, g, r, samples, seed)
 @pytest.mark.parametrize("r", [1, 2, 4])
 @pytest.mark.parametrize("g,samples,seed", [(W2, 3000, 5), (W_BALL, 2000, 11), (W1, 17, 2)])
 def test_generations_match_stable_sort(g, r, samples, seed):
-    sizes, parents = branching._sample_generations(g, r, samples, stream(seed))
-    want_sizes, want_parents = sample_generations_oracle(g, r, samples, stream(seed))
-    assert sizes == want_sizes
-    assert len(parents) == len(want_parents) == r
-    for got, want in zip(parents, want_parents):
-        np.testing.assert_array_equal(got, want)
+    counts = branching._sample_generations(g, r, samples, stream(seed))
+    sizes, parents = sample_generations_oracle(g, r, samples, stream(seed))
+    assert len(counts) == len(parents) == r
+    for d, (got, want) in enumerate(zip(counts, parents)):
+        np.testing.assert_array_equal(got, np.bincount(want, minlength=sizes[d]))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("g,samples,seed", [(W2, 3000, 5), (W_BALL, 2000, 11), (W1, 17, 2)])
+def test_mc_matches_oracle_pipeline(g, r, samples, seed):
+    # every generation placed, the leaves interned as ids 0 like any other
+    # row: this covers the generation the library only counts
+    sizes, parents = sample_generations_oracle(g, r, samples, stream(seed))
+    interner = CodeInterner()
+    codes = np.zeros(sizes[r], dtype=np.int64)
+    for d in range(r - 1, -1, -1):
+        codes = intern_generation_oracle(interner, np.bincount(parents[d], minlength=sizes[d]), codes)
+    cids, cnts = np.unique(codes, return_counts=True)
+    want = []
+    for cid, cnt in zip(cids.tolist(), cnts.tolist()):
+        p = cnt / samples
+        want.append((interner.to_code(cid), (p, math.sqrt(p * (1.0 - p) / samples))))
+    assert list(root_ball_distribution_mc(g, r, samples, seed).items()) == want
 
 
 class _TopDraws:

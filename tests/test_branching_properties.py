@@ -35,13 +35,39 @@ def generations(draw):
 @example(([0, 0, 0], []))  # no parent has a child
 def test_generation_ids_match_oracle(gen):
     counts, codes = gen
-    child_parent = np.repeat(np.arange(len(counts)), counts)
+    counts = np.array(counts, dtype=np.int64)
     child_codes = np.array(codes, dtype=np.int64)
     fast, slow = seeded_interner(), seeded_interner()
-    got = _intern_generation(fast, child_parent, child_codes, len(counts))
-    want = intern_generation_oracle(slow, child_parent, child_codes, len(counts))
+    got = _intern_generation(fast, counts, child_codes)
+    want = intern_generation_oracle(slow, counts, child_codes)
     assert got.tolist() == want.tolist()
     # new ids were handed out in the same first-appearance order
     assert fast.children == slow.children
     assert list(fast.ids.items()) == list(slow.ids.items())
 
+
+@PROPERTY
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=60))
+@example([0, 0])
+def test_leaf_generation_ids_match_oracle(counts):
+    # child_codes=None: every child is a leaf, so each parent is a star
+    counts = np.array(counts, dtype=np.int64)
+    fast, slow = seeded_interner(), seeded_interner()
+    got = _intern_generation(fast, counts, None)
+    want = intern_generation_oracle(slow, counts, None)
+    assert got.tolist() == want.tolist()
+    assert list(fast.ids.items()) == list(slow.ids.items())
+
+
+def test_rows_too_wide_to_pack_match_oracle():
+    # POOL ** 30 passes 2^63, so the 30-child rows are compared column by column
+    rng = np.random.default_rng(3)
+    counts = rng.choice([0, 2, 30], size=200)
+    child_codes = rng.integers(0, 2, size=int(counts.sum()))  # few distinct rows
+    child_codes[rng.random(len(child_codes)) < 0.01] = POOL - 1
+    fast, slow = seeded_interner(), seeded_interner()
+    got = _intern_generation(fast, counts, child_codes)
+    want = intern_generation_oracle(slow, counts, child_codes)
+    assert got.tolist() == want.tolist()
+    assert list(fast.ids.items()) == list(slow.ids.items())
+    assert len(fast.ids) < len(SEED_ROWS) + 1 + 200  # some rows repeat
