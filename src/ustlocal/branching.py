@@ -18,6 +18,8 @@ from .graphon import StepGraphon
 from .rng import sample_count, stream
 from .trees import CodeInterner
 
+_CHUNK_ROWS = 1 << 16  # parents per Poisson call; bounds its (rows, k) rates and counts
+
 
 def _offspring_rates(g: StepGraphon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Other-child intensities, the ancestral child's cumulative block law per
@@ -35,51 +37,85 @@ def _sample_generations(
     """`samples` independent depth-r processes, as child counts.
 
     Entry d gives each particle of generation d (generation 0 holds the
-    roots) its number of children.  Each parent's children come as one run
-    in the generation below, its ancestral child (if any) first, so the
-    counts alone place every particle.  Only these are kept: blocks and
-    sampling temporaries are freed as soon as the next generation is placed,
-    which keeps the peak memory low and the same from one call to the next.
-    Generation r is only counted: its particles are leaves of every ball.
+    roots) its number of children, in the narrowest signed type that holds
+    them.  Each parent's children come as one run in the generation below,
+    its ancestral child (if any) first, so the counts alone place every
+    particle.  Generation r is only counted: its particles are leaves of
+    every ball, and its uniforms are drawn in chunks only to advance the
+    stream.
+
+    Working memory is O(P) narrow per-particle arrays (uint8 blocks for up
+    to 256 blocks, int8 counts while they fit) and the positions of the
+    ancestral particles, plus one (chunk x k) block of Poisson rates and
+    counts: never a (P, k) matrix.  The parents are walked `_CHUNK_ROWS`
+    rows at a time with one `poisson` call each; taken in row order, these
+    calls draw the counts that one call over all P rows draws and leave
+    the stream where it would.
     """
     oth_rate, anc_cum, mu_cum = _offspring_rates(g)
     k = g.k
+    block = np.min_scalar_type(k - 1)
+    rows = _CHUNK_ROWS
     cur = np.minimum(
         np.searchsorted(mu_cum, rng.random(samples), side="right"), k - 1
-    ).astype(np.int64)
+    ).astype(block)
     anc_idx = np.arange(samples)  # ancestral particle position inside its generation
+    block_ids = np.tile(np.arange(k, dtype=block), rows)  # the block of each of a chunk's counts
     gen_counts: list[np.ndarray] = []
-    block_ids = np.arange(k, dtype=np.min_scalar_type(k - 1))  # tiled once per parent
     for depth in range(1, r + 1):
-        u = rng.random(samples)  # drawn for generation r too, which keeps the stream
-        counts = rng.poisson(np.take(oth_rate, cur, axis=0))  # (P, k)
-        per_parent = counts[:, 0].copy()
-        for j in range(1, k):
-            per_parent += counts[:, j]
-        per_parent[anc_idx] += 1
+        last = depth == r
+        if last:
+            for lo in range(0, samples, rows):
+                rng.random(min(rows, samples - lo))
+        else:
+            u = rng.random(samples)
+            # room for the Poisson total of other children plus eight of its
+            # standard deviations; a larger total grows the buffer
+            mean = float(np.bincount(cur, minlength=k) @ oth_rate.sum(axis=1))
+            oth_block = np.empty(int(mean + 8.0 * math.sqrt(mean)) + k, dtype=block)
+            off = 0
+        per_parent = np.empty(len(cur), dtype=np.int8)
+        alo = 0
+        for lo in range(0, len(cur), rows):
+            hi = min(lo + rows, len(cur))
+            counts = rng.poisson(np.take(oth_rate, cur[lo:hi], axis=0))  # (chunk, k)
+            tot = counts[:, 0].copy()
+            for j in range(1, k):
+                tot += counts[:, j]
+            ahi = int(np.searchsorted(anc_idx, hi))  # the chunk's ancestral parents
+            tot[anc_idx[alo:ahi] - lo] += 1
+            top = int(tot.max())
+            if top > np.iinfo(per_parent.dtype).max:
+                per_parent = per_parent.astype(np.min_scalar_type(-top - 1))  # signed, holds top
+            per_parent[lo:hi] = tot
+            if not last:
+                n = int(counts.sum())
+                if off + n > len(oth_block):
+                    oth_block = np.concatenate([oth_block[:off], np.empty(off + n, dtype=block)])
+                oth_block[off:off + n] = np.repeat(block_ids[:counts.size], counts.reshape(-1))
+                off += n
+            alo = ahi
         gen_counts.append(per_parent)
-        if depth == r:
+        if last:
             break
         # count the thresholds below u, leaving out the last one: rounding
         # can end a cumulative row below 1.0, and a u above it is block k - 1
         anc_block = cur[anc_idx]
-        anc_child_block = np.zeros(samples, dtype=np.int64)
+        anc_child_block = np.zeros(samples, dtype=block)
         for j in range(k - 1):
             anc_child_block += u > anc_cum[anc_block, j]
         del u, anc_block
-        oth_block = np.repeat(np.tile(block_ids, len(cur)), counts.reshape(-1))
-        del counts
         # each parent lists its ancestral child (if any) first, then its
         # others by block; anc_idx rises with the sample id, and so does the
         # position of each ancestral child in the new generation
-        starts = np.cumsum(per_parent) - per_parent
+        starts = np.cumsum(per_parent, dtype=np.int64) - per_parent
         anc_idx = starts[anc_idx]
         del starts
-        cur = np.empty(int(per_parent.sum()), dtype=np.int64)
+        cur = np.empty(off + samples, dtype=block)
         is_other = np.ones(len(cur), dtype=bool)
         is_other[anc_idx] = False
         cur[anc_idx] = anc_child_block
-        cur[is_other] = oth_block
+        cur[is_other] = oth_block[:off]
         del is_other, oth_block, anc_child_block
     return gen_counts
 
@@ -101,17 +137,18 @@ def _intern_generation(
     if child_codes is None:
         present = np.flatnonzero(by_count).tolist()
         firsts = [int(np.argmax(counts == L)) for L in present]
-        lookup = np.zeros(len(by_count), dtype=np.int64)
+        lookup = [0] * len(by_count)
         for i in np.argsort(firsts).tolist():
             lookup[present[i]] = interner.intern((0,) * present[i])
-        return lookup[counts]
-    starts = np.cumsum(counts) - counts
+        return _narrow_ids(interner, lookup)[counts]
+    starts = np.cumsum(counts, dtype=np.int64) - counts
     # parents in order of child count, each bucket in parent order; the
     # narrow key makes the stable sort a radix sort
     order = np.argsort(counts.astype(np.min_scalar_type(len(by_count) - 1)), kind="stable")
     bounds = np.cumsum(by_count).tolist()
     span = int(child_codes.max(initial=0)) + 1
-    row_of = np.zeros(len(counts), dtype=np.int64)  # 1 + index into rows; 0: no children
+    # 1 + index into rows, 0 for no children; there is at most one row per parent
+    row_of = np.zeros(len(counts), dtype=np.min_scalar_type(len(counts)))
     rows: list[list[int]] = []  # distinct rows of every bucket, bucket by bucket
     firsts = []
     for L in np.flatnonzero(by_count[1:]).tolist():
@@ -121,9 +158,10 @@ def _intern_generation(
         mat.sort(axis=1)
         keys = mat
         if span**L <= 2**63:
-            # a sorted row as one integer in base `span`, narrowed so that
-            # the stable sort below is a radix sort where it can be
-            key = mat[:, 0].copy()
+            # a sorted row as one integer in base `span`, packed in 64 bits
+            # and then narrowed so that the stable sort below is a radix
+            # sort where it can be
+            key = mat[:, 0].astype(np.int64)
             for j in range(1, L):
                 key *= span
                 key += mat[:, j]
@@ -136,13 +174,17 @@ def _intern_generation(
         row_of[parents] = len(rows) + np.cumsum(new)
         rows.extend(mat[perm[new]].tolist())
         firsts.append(parents[new])
-    if not rows:
-        return row_of
     ids = [0] * (len(rows) + 1)
     intern = interner.intern
-    for i in np.argsort(np.concatenate(firsts)).tolist():
-        ids[i + 1] = intern(tuple(rows[i]))
-    return np.array(ids, dtype=np.int64)[row_of]
+    if rows:
+        for i in np.argsort(np.concatenate(firsts)).tolist():
+            ids[i + 1] = intern(tuple(rows[i]))
+    return _narrow_ids(interner, ids)[row_of]
+
+
+def _narrow_ids(interner: CodeInterner, ids: list[int]) -> np.ndarray:
+    """`ids` in the narrowest unsigned type that holds every id of `interner`."""
+    return np.array(ids, dtype=np.min_scalar_type(len(interner.children) - 1))
 
 
 def root_ball_distribution_mc(

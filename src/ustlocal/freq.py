@@ -46,6 +46,7 @@ _BACKTRACK_WORK_LIMIT = 2_000_000
 # Bell(10): the lattice evaluator takes patterns of up to 11 vertices
 _PARTITION_CAP = 115_975
 _AXES = "abcdefghijklmnopqrstuvwxyz"
+_FLOAT_COUNT_LIMIT = 2**53  # float integers are exact below it
 
 
 @dataclass
@@ -151,7 +152,7 @@ def _mobius_sums(
     deg: np.ndarray,
     p: int,
     parent: list[int],
-) -> tuple[float, float]:
+) -> tuple[float, int]:
     """The weighted sum and the count of distinct tuples, by Mobius inversion.
 
     inj(T, G) = sum over partitions pi of mu(0, pi) hom(T/pi, G), with
@@ -168,6 +169,14 @@ def _mobius_sums(
     the block of the parent of B's smallest vertex.  A quotient with a cycle
     takes one einsum per block holding a top-height member, plus one for the
     count.  Every argument covers only the allowed vertices.
+
+    The count is exact while x!/(x-ell)!, which bounds it, is below 2^64,
+    for x allowed vertices.  The sum of all |mu| hom terms is at most the
+    rising factorial x(x+1)...(x+ell-1); below 2^53 every float in the count
+    is an exact integer, so the count rides in the (F, S, count) messages.
+    Above it the count messages are carried in wrapping uint64 and the terms
+    summed as Python ints, exact modulo 2^64.  Past 2^64 the count is the
+    rounded float sum, which can be off.
     """
     ell = len(parent)
     partitions = _bell(ell - 1)
@@ -175,7 +184,12 @@ def _mobius_sums(
         raise PatternTooLarge(
             f"{ell}-vertex pattern: {partitions} partitions exceed the partition-lattice cap {_PARTITION_CAP}"
         )
-    ones = np.ones(len(deg))
+    x = len(deg)
+    ones = np.ones(x)
+    wrap = math.prod(range(x, x + ell)) >= _FLOAT_COUNT_LIMIT and math.perm(x, ell) < 2**64
+    if wrap:
+        presence_u = presence.astype(np.uint64)
+        ones_u = np.ones(x, dtype=np.uint64)
     seeds: dict[tuple[int, int], np.ndarray] = {}
 
     def seed(below: int, top: int) -> np.ndarray:
@@ -186,6 +200,7 @@ def _mobius_sums(
         return seeds[below, top]
 
     total = count = 0.0
+    count_mod = 0  # the count modulo 2^64, when `wrap`
     for block_of, blocks in _independent_partitions(parent):
         below, top, first = [0] * blocks, [0] * blocks, [-1] * blocks
         for j, b in enumerate(block_of):
@@ -201,15 +216,23 @@ def _mobius_sums(
         merged = sorted({tuple(sorted((block_of[parent[j]], block_of[j]))) for j in range(1, ell)})
         if len(merged) == blocks - 1:
             msg = [seed(below[b], top[b]).copy() for b in range(blocks)]
+            if wrap:
+                hom = [ones_u.copy() for _ in range(blocks)]
             for c in range(blocks - 1, 0, -1):
-                F, S, C = msg[block_of[parent[first[c]]]]
+                up = block_of[parent[first[c]]]
+                F, S, C = msg[up]
                 PF, PS, PC = msg[c] @ presence  # presence is symmetric
                 S *= PF
                 S += F * PS
                 F *= PF
                 C *= PC
+                if wrap:
+                    hom[up] *= hom[c] @ presence_u
             total += coeff * float(msg[0][1].sum())
-            count += coeff * float(msg[0][2].sum())
+            if wrap:
+                count_mod += coeff * int(hom[0].sum())
+            else:
+                count += coeff * float(msg[0][2].sum())
             continue
         expr = ",".join([_AXES[a] + _AXES[c] for a, c in merged] + list(_AXES[:blocks])) + "->"
         rows = [seed(below[b], top[b]) for b in range(blocks)]
@@ -219,8 +242,11 @@ def _mobius_sums(
             if top[b]:
                 vecs = [r[1] if a == b else r[0] for a, r in enumerate(rows)]
                 total += coeff * float(np.einsum(expr, *ops, *vecs, optimize=path))
-        count += coeff * float(np.einsum(expr, *ops, *(r[2] for r in rows), optimize=path))
-    return total, count
+        if wrap:
+            count_mod += coeff * int(np.einsum(expr, *[presence_u] * len(merged), *[ones_u] * blocks, optimize=path))
+        else:
+            count += coeff * float(np.einsum(expr, *ops, *(r[2] for r in rows), optimize=path))
+    return total, count_mod % 2**64 if wrap else int(round(count))
 
 
 def _backtrack_value(
@@ -315,7 +341,7 @@ def _discrete_sum(
         # its cancellation residue instead of 0
         return 0.0, 0, "mobius"
     total, count = _mobius_sums(presence[np.ix_(idx, idx)], w_pre[idx], w_post[idx], deg[idx], p, parent)
-    return total, int(round(count)), "mobius"
+    return total, count, "mobius"
 
 
 def _b_vector(G: MultiGraph, labels: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -174,6 +175,65 @@ def test_mc_matches_oracle_pipeline(g, r, samples, seed):
         want.append((interner.to_code(cid), (p, math.sqrt(p * (1.0 - p) / samples))))
     assert list(root_ball_distribution_mc(g, r, samples, seed).items()) == want
 
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", [W2, W_BALL])
+def test_generations_do_not_depend_on_the_chunk(monkeypatch, g, r):
+    # the oracle draws each generation's Poisson counts in one call; chunked
+    # calls in row order must give the same counts and leave the stream at
+    # the same place
+    samples, seed = 300, 23
+    rng = stream(seed)
+    sizes, parents = sample_generations_oracle(g, r, samples, rng)
+    want = [np.bincount(p, minlength=sizes[d]) for d, p in enumerate(parents)]
+    want_next = rng.random(4)
+    for rows in (1, 7, branching._CHUNK_ROWS):
+        monkeypatch.setattr(branching, "_CHUNK_ROWS", rows)
+        rng = stream(seed)
+        got = branching._sample_generations(g, r, samples, rng)
+        assert len(got) == r
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(rng.random(4), want_next)
+
+
+class _ManyOthers:
+    """The stream of a seed, with 150 added to every Poisson count."""
+
+    def __init__(self, seed):
+        self.rng = stream(seed)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def poisson(self, lam):
+        return self.rng.poisson(lam) + 150
+
+
+def test_generations_with_counts_past_the_narrow_type(monkeypatch):
+    # over 127 children per parent widens the int8 counts, and far more
+    # other children than the Poisson mean grows the block buffer
+    monkeypatch.setattr(branching, "_CHUNK_ROWS", 2)
+    counts = branching._sample_generations(W2, 2, 5, _ManyOthers(4))
+    sizes, parents = sample_generations_oracle(W2, 2, 5, _ManyOthers(4))
+    for d, (got, want) in enumerate(zip(counts, parents)):
+        assert got.dtype == np.int16
+        np.testing.assert_array_equal(got, np.bincount(want, minlength=sizes[d]))
+
+
+def test_mc_memory_per_sample():
+    # the ball_law workload's graphon at depth 2: about 46 bytes per sample
+    # with row-chunked draws and narrow ids, 136 with (P, k) rate and count
+    # matrices and int64 ids
+    samples = 200_000
+    tracemalloc.start()
+    try:
+        root_ball_distribution_mc(W_BALL, 2, samples, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / samples <= 70.0
 
 class _TopDraws:
     """Every uniform draw is the largest double below 1, and no other children."""

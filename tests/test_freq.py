@@ -213,6 +213,30 @@ def test_backtrack_and_mobius_agree(rng, monkeypatch):
             assert a.tuple_count == m.tuple_count
 
 
+def test_mobius_count_in_wrapping_integers_matches_backtrack(rng, monkeypatch):
+    # a zero float limit sends every count through the uint64 messages, on
+    # tree quotients and on quotients with a cycle alike
+    monkeypatch.setattr(freq_mod, "_FLOAT_COUNT_LIMIT", 0)
+    for _ in range(3):
+        G = random_connected_graph(rng, 8, 0.6)
+        dec = trivial_decomposition(G)
+        good = np.ones(8, dtype=bool)
+        for T in enumerate_rooted_trees(5, min_height=1):
+            a = _component_by(monkeypatch, "backtrack", T, G, dec, 1, good)
+            m = _component_by(monkeypatch, "mobius", T, G, dec, 1, good)
+            assert a.tuple_count == m.tuple_count, T.parent
+
+
+def test_mobius_count_exact_past_float_precision():
+    # 200 * 201 * ... * 207 passes 2^53, and 200!/192! is below 2^64; the
+    # float count gave 2221591525865713152
+    G = complete_graph(200)
+    star = RootedTree([-1] + [0] * 7)
+    rep = freq_graph_component(star, G, trivial_decomposition(G), 1, np.ones(200, dtype=bool))
+    assert rep.method == "mobius"
+    assert rep.tuple_count == math.perm(200, 8) == 2221591525865712000
+
+
 def test_partition_lattice_refuses_patterns_above_12_vertices():
     # the work rule picks the partition lattice evaluator for a 13-vertex
     # star on K30; Bell(13) partitions are never enumerated

@@ -6,7 +6,8 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from ustlocal.electric import edge_ust_probability
+from ustlocal import ust
+from ustlocal.electric import LaplacianSystem, edge_ust_probability
 from ustlocal.errors import (
     ConditioningDisconnects,
     GraphDisconnected,
@@ -15,6 +16,7 @@ from ustlocal.errors import (
     TooManyTrees,
     VertexOutOfRange,
 )
+from ustlocal.graphon import StepGraphon, sample_w_random_graph
 from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, path_graph
 from ustlocal.ust import (
     SpanningTree,
@@ -231,3 +233,31 @@ def test_spanning_tree_rejects_cycles_and_outside_vertices():
     with pytest.raises(VertexOutOfRange):
         SpanningTree(3, [(0, 1, 0), (1, 3, 0)])
     assert SpanningTree(4, [(2, 3, 0), (0, 1, 0), (1, 2, 0)]).edge_pairs() == [(0, 1), (1, 2), (2, 3)]
+
+
+class _CountingBuffer(ust.UniformBuffer):
+    """A UniformBuffer that counts the uniforms handed out: one per walk step."""
+
+    calls = 0
+
+    def __call__(self) -> float:
+        _CountingBuffer.calls += 1
+        return super().__call__()
+
+
+def test_wilson_expected_steps_is_degree_weighted_resistance(monkeypatch):
+    # Wilson (1996): the walks take sum_v deg(v) R_eff(root, v) steps on average
+    g = StepGraphon(np.array([0.4, 0.6]), np.array([[0.9, 0.3], [0.3, 0.6]]))
+    G, _labels = sample_w_random_graph(g, 30, seed=12)
+    assert G.is_connected()
+    lap = LaplacianSystem(G, ground=0)
+    expected = sum(float(G.degrees[v]) * lap.resistance(0, v) for v in range(1, G.n))
+    monkeypatch.setattr(ust, "UniformBuffer", _CountingBuffer)
+    runs = 2000
+    steps = np.empty(runs)
+    for i in range(runs):
+        _CountingBuffer.calls = 0
+        wilson_sample(G, seed=700 + i)
+        steps[i] = _CountingBuffer.calls
+    se = steps.std(ddof=1) / math.sqrt(runs)
+    assert abs(steps.mean() - expected) <= 4 * se
