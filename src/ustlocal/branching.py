@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ParameterOutOfRange, is_integer
 from .graphon import StepGraphon
 from .rng import sample_count, stream
-from .trees import CodeInterner
+from .trees import CodeInterner, _intern_generation
 
 _CHUNK_ROWS = 1 << 16  # parents per Poisson call; bounds its (rows, k) rates and counts
 
@@ -118,73 +118,6 @@ def _sample_generations(
         cur[is_other] = oth_block[:off]
         del is_other, oth_block, anc_child_block
     return gen_counts
-
-
-def _intern_generation(
-    interner: CodeInterner, counts: np.ndarray, child_codes: np.ndarray | None
-) -> np.ndarray:
-    """Code ids of the parents with `counts` children each, from their children's ids.
-
-    `child_codes` lists the children parent by parent; None means every child
-    is a leaf (id 0), so a parent's ball is a star and its id depends on its
-    child count alone.  Otherwise parents are bucketed by child count L, so
-    each bucket is an exact (m_L, L) matrix of sorted child ids.  `intern`
-    runs once per distinct row, in order of the row's first parent, which
-    gives the ids that interning parent by parent gives.  Childless parents
-    get 0.
-    """
-    by_count = np.bincount(counts)
-    if child_codes is None:
-        present = np.flatnonzero(by_count).tolist()
-        firsts = [int(np.argmax(counts == L)) for L in present]
-        lookup = [0] * len(by_count)
-        for i in np.argsort(firsts).tolist():
-            lookup[present[i]] = interner.intern((0,) * present[i])
-        return _narrow_ids(interner, lookup)[counts]
-    starts = np.cumsum(counts, dtype=np.int64) - counts
-    # parents in order of child count, each bucket in parent order; the
-    # narrow key makes the stable sort a radix sort
-    order = np.argsort(counts.astype(np.min_scalar_type(len(by_count) - 1)), kind="stable")
-    bounds = np.cumsum(by_count).tolist()
-    span = int(child_codes.max(initial=0)) + 1
-    # 1 + index into rows, 0 for no children; there is at most one row per parent
-    row_of = np.zeros(len(counts), dtype=np.min_scalar_type(len(counts)))
-    rows: list[list[int]] = []  # distinct rows of every bucket, bucket by bucket
-    firsts = []
-    for L in np.flatnonzero(by_count[1:]).tolist():
-        L += 1
-        parents = order[bounds[L - 1]:bounds[L]]
-        mat = child_codes[starts[parents][:, None] + np.arange(L)]
-        mat.sort(axis=1)
-        keys = mat
-        if span**L <= 2**63:
-            # a sorted row as one integer in base `span`, packed in 64 bits
-            # and then narrowed so that the stable sort below is a radix
-            # sort where it can be
-            key = mat[:, 0].astype(np.int64)
-            for j in range(1, L):
-                key *= span
-                key += mat[:, j]
-            keys = key.astype(np.min_scalar_type(span**L - 1))[:, None]
-        perm = np.lexsort(keys.T[::-1])  # stable, so equal rows keep parent order
-        keys = keys[perm]
-        parents = parents[perm]
-        new = np.ones(len(perm), dtype=bool)
-        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-        row_of[parents] = len(rows) + np.cumsum(new)
-        rows.extend(mat[perm[new]].tolist())
-        firsts.append(parents[new])
-    ids = [0] * (len(rows) + 1)
-    intern = interner.intern
-    if rows:
-        for i in np.argsort(np.concatenate(firsts)).tolist():
-            ids[i + 1] = intern(tuple(rows[i]))
-    return _narrow_ids(interner, ids)[row_of]
-
-
-def _narrow_ids(interner: CodeInterner, ids: list[int]) -> np.ndarray:
-    """`ids` in the narrowest unsigned type that holds every id of `interner`."""
-    return np.array(ids, dtype=np.min_scalar_type(len(interner.children) - 1))
 
 
 def root_ball_distribution_mc(

@@ -127,25 +127,6 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     return indptr, indices, weights
 
 
-def _csr_components(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Component labels of a symmetric CSR adjacency, numbered by smallest vertex.
-
-    On a symmetric adjacency the strong components are the connected ones,
-    and scipy finds them without building the transpose.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    _count, raw = connected_components(adj, directed=True, connection="strong")
-    _uniq, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
-    return rank[inverse.ravel()]
-
-
 def _check_sums(m: np.ndarray, starts: np.ndarray, key: np.ndarray, n: int) -> None:
     """Raise ParameterOutOfRange if a run m[starts[i]:starts[i + 1]] sums past MAX_MULTIPLICITY.
 
@@ -198,6 +179,7 @@ class MultiGraph:
         self._adj: tuple[list[np.ndarray], list[np.ndarray]] | None = None
         self._steps: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._components: np.ndarray | None = None
+        self._max_mult: int | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -291,7 +273,9 @@ class MultiGraph:
     @property
     def max_multiplicity(self) -> int:
         """Maximal number of parallel edges between any pair (1 for empty graphs)."""
-        return int(self.mult.max(initial=1))
+        if self._max_mult is None:
+            self._max_mult = int(self.mult.max(initial=1))
+        return self._max_mult
 
     @property
     def is_simple(self) -> bool:
@@ -448,9 +432,29 @@ class MultiGraph:
     # -- connectivity -----------------------------------------------------------
 
     def component_labels(self) -> np.ndarray:
+        """Each vertex's connected component, numbered by smallest vertex.
+
+        scipy's weakly connected components of the stored pairs as directed
+        edges u -> v: u is sorted, so the CSR of that half is `v` itself
+        with one bincount for its row pointers, and nothing is mirrored or
+        sorted.
+        """
         if self._components is None:
-            indptr, indices, _weights = self.csr()
-            self._components = _csr_components(self.n, indptr, indices)
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import connected_components
+
+            n = self.n
+            if n == 0:
+                self._components = np.zeros(0, dtype=np.int64)
+                return self._components
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.u, minlength=n), out=indptr[1:])
+            half = csr_matrix((np.ones(len(self.v)), self.v, indptr), shape=(n, n))
+            _count, raw = connected_components(half, directed=True, connection="weak")
+            _uniq, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+            rank = np.empty(len(first), dtype=np.int64)
+            rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+            self._components = rank[inverse.ravel()]
         return self._components
 
     def is_connected(self) -> bool:

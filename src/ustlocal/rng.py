@@ -32,26 +32,16 @@ def sample_count(samples: int) -> int:
     return int(samples)
 
 
-class UniformBuffer:
-    """Buffered scalar uniforms for tight Python loops (walk steps).
+def uniform_blocks(gen: np.random.Generator):
+    """Blocks of uniforms for tight Python loops (walk steps), as memoryviews.
 
-    Starts small so short walks pay little; doubles on refill up to a cap.
+    The first block holds 256 uniforms and each next one twice as many, up
+    to 16384, so short walks pay little.  A loop indexes the block it holds
+    (a memoryview hands out Python floats) and takes the next block only
+    when it needs one more uniform, so the stream advances block by block
+    on a fixed schedule.
     """
-
-    __slots__ = ("_gen", "_buf", "_pos", "_size", "_cap")
-
-    def __init__(self, gen: np.random.Generator, size: int = 256, cap: int = 16384):
-        self._gen = gen
-        self._size = size
-        self._cap = cap
-        self._buf = gen.random(size)
-        self._pos = 0
-
-    def __call__(self) -> float:
-        pos = self._pos
-        if pos == self._size:
-            self._size = min(2 * self._size, self._cap)
-            self._buf = self._gen.random(self._size)
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
+    size = 256
+    while True:
+        yield memoryview(gen.random(size))
+        size = min(2 * size, 16384)

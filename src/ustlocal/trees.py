@@ -6,17 +6,21 @@ serializes as "(s:c_1...c_k)".  Equal codes <=> root-preserving isomorphism.
 
 `CodeInterner` is the one canonicalizer behind them (Aho-Hopcroft-Ullman):
 a rooted tree is an integer id keyed by the sorted tuple of its children's
-ids, and the string code is made from an id only when asked for, memoized.
+ids, and string codes are made from ids only when asked for, in id order.
 `RootedTree`, `local_census` and the branching Monte Carlo all intern
-through it; stabilizer sizes count equal child ids.
+through it; stabilizer sizes count equal child ids.  `_intern_generation`
+is its array form, one level at a time: rows of child ids in, ids out,
+each distinct row interned once.  The census and the branching Monte Carlo
+both run on it.
 
-`local_census` is one rerooting pass over a spanning tree rooted once at
-vertex 0.  For h < r it keeps two ids per vertex: `down[v]`, the subtree of
-v away from its parent cut at depth h, and `up[v]`, the parent's side seen
-from v (the parent with its other children's `down` at depth h - 1 and its
-own `up`).  The r-ball of v is then v with the depth-(r-1) `down` of its
-children and its `up`, so a census costs O(r * sum of degrees) interns.
-`ball` builds one ball directly; it is the census's test oracle.
+`local_census` is one rerooting pass over a spanning tree's parent array,
+rooted where the tree is rooted.  For h < r it keeps two ids per vertex:
+`down[v]`, the subtree of v away from its parent cut at depth h, and
+`up[v]`, the parent's side seen from v (the parent with its other
+children's `down` at depth h - 1 and its own `up`).  The r-ball of v is
+then v with the depth-(r-1) `down` of its children and its `up`, so a
+census is O(r) array passes over O(sum of degrees) ids.  `ball` builds one
+ball directly; it is the census's test oracle.
 """
 from __future__ import annotations
 
@@ -26,7 +30,9 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable
 
-from .errors import InvalidVertices, PartitionMismatch, VertexOutOfRange, malformed_json
+import numpy as np
+
+from .errors import InvalidVertices, PartitionMismatch, VertexOutOfRange, is_integer, malformed_json
 
 
 class CodeInterner:
@@ -41,7 +47,7 @@ class CodeInterner:
         self.ids: dict[tuple[int, ...], int] = {(): 0}
         self.children: list[tuple[int, ...]] = [()]
         self.sizes: list[int] = [1]
-        self._codes: dict[int, str] = {0: "(1:)"}
+        self._codes: list[str] = ["(1:)"]
 
     def intern(self, child_ids: tuple[int, ...]) -> int:
         got = self.ids.get(child_ids)
@@ -55,22 +61,83 @@ class CodeInterner:
         return new
 
     def to_code(self, cid: int) -> str:
-        """The string code of id `cid`, memoized per id."""
+        """The string code of id `cid`.
+
+        Codes are made in id order, children before parents, up to `cid`,
+        and kept.
+        """
         codes = self._codes
-        got = codes.get(cid)
-        if got is not None:
-            return got
-        missing = set()
-        stack = [cid]
-        while stack:
-            x = stack.pop()
-            if x not in codes and x not in missing:
-                missing.add(x)
-                stack.extend(self.children[x])
-        for x in sorted(missing):  # children before parents
+        for x in range(len(codes), cid + 1):
             kids = sorted([codes[c] for c in self.children[x]])
-            codes[x] = f"({self.sizes[x]}:{''.join(kids)})"
+            codes.append(f"({self.sizes[x]}:{''.join(kids)})")
         return codes[cid]
+
+
+def _intern_generation(
+    interner: CodeInterner, counts: np.ndarray, child_codes: np.ndarray | None
+) -> np.ndarray:
+    """Code ids of the parents with `counts` children each, from their children's ids.
+
+    `child_codes` lists the children parent by parent; None means every child
+    is a leaf (id 0), so a parent's ball is a star and its id depends on its
+    child count alone.  Otherwise parents are bucketed by child count L, so
+    each bucket is an exact (m_L, L) matrix of sorted child ids.  `intern`
+    runs once per distinct row, in order of the row's first parent, which
+    gives the ids that interning parent by parent gives.  Childless parents
+    get 0.
+    """
+    by_count = np.bincount(counts)
+    if child_codes is None:
+        present = np.flatnonzero(by_count).tolist()
+        firsts = [int(np.argmax(counts == L)) for L in present]
+        lookup = [0] * len(by_count)
+        for i in np.argsort(firsts).tolist():
+            lookup[present[i]] = interner.intern((0,) * present[i])
+        return _narrow_ids(interner, lookup)[counts]
+    starts = np.cumsum(counts, dtype=np.int64) - counts
+    # parents in order of child count, each bucket in parent order; the
+    # narrow key makes the stable sort a radix sort
+    order = np.argsort(counts.astype(np.min_scalar_type(len(by_count) - 1)), kind="stable")
+    bounds = np.cumsum(by_count).tolist()
+    span = int(child_codes.max(initial=0)) + 1
+    # 1 + index into rows, 0 for no children; there is at most one row per parent
+    row_of = np.zeros(len(counts), dtype=np.min_scalar_type(len(counts)))
+    rows: list[list[int]] = []  # distinct rows of every bucket, bucket by bucket
+    firsts = []
+    for L in np.flatnonzero(by_count[1:]).tolist():
+        L += 1
+        parents = order[bounds[L - 1]:bounds[L]]
+        mat = child_codes[starts[parents][:, None] + np.arange(L)]
+        mat.sort(axis=1)
+        keys = mat
+        if span**L <= 2**63:
+            # a sorted row as one integer in base `span`, packed in 64 bits
+            # and then narrowed so that the stable sort below is a radix
+            # sort where it can be
+            key = mat[:, 0].astype(np.int64)
+            for j in range(1, L):
+                key *= span
+                key += mat[:, j]
+            keys = key.astype(np.min_scalar_type(span**L - 1))[:, None]
+        perm = np.lexsort(keys.T[::-1])  # stable, so equal rows keep parent order
+        keys = keys[perm]
+        parents = parents[perm]
+        new = np.ones(len(perm), dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        row_of[parents] = len(rows) + np.cumsum(new)
+        rows.extend(mat[perm[new]].tolist())
+        firsts.append(parents[new])
+    ids = [0] * (len(rows) + 1)
+    intern = interner.intern
+    if rows:
+        for i in np.argsort(np.concatenate(firsts)).tolist():
+            ids[i + 1] = intern(tuple(rows[i]))
+    return _narrow_ids(interner, ids)[row_of]
+
+
+def _narrow_ids(interner: CodeInterner, ids: list[int]) -> np.ndarray:
+    """`ids` in the narrowest unsigned type that holds every id of `interner`."""
+    return np.array(ids, dtype=np.min_scalar_type(len(interner.children) - 1))
 
 
 class RootedTree:
@@ -175,12 +242,16 @@ class RootedTree:
 # -- balls and censuses over spanning trees ------------------------------------
 
 
+def _check_radius(r) -> None:
+    if not is_integer(r) or r < 0:
+        raise VertexOutOfRange(f"radius {r!r} is not an integer >= 0")
+
+
 def ball(tree, v: int, r: int) -> RootedTree:
     """B_T(v, r) as a rooted tree in the normalized height order."""
-    if not (0 <= v < tree.n):
-        raise VertexOutOfRange(f"vertex {v}")
-    if r < 0:
-        raise VertexOutOfRange(f"radius {r}")
+    if not is_integer(v) or not (0 <= v < tree.n):
+        raise VertexOutOfRange(f"vertex {v!r}")
+    _check_radius(r)
     adj = tree.adjacency()
     dist = {v: 0}
     order = [v]
@@ -206,77 +277,82 @@ def ball(tree, v: int, r: int) -> RootedTree:
     return raw.normalized()[0]
 
 
-def _rooted_at_zero(tree) -> list[list[int]]:
-    """Children lists of `tree` rooted at vertex 0, by BFS."""
-    adj = tree.adjacency()
-    children: list[list[int]] = [[] for _ in range(tree.n)]
-    seen = [False] * tree.n
-    seen[0] = True
-    order = [0]
-    for x in order:
-        kids = children[x]
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                kids.append(y)
-                order.append(y)
-    return children
-
-
 def local_census(tree, r: int) -> dict[str, int]:
     """Counts of ball codes over all n root choices; values sum to n.
 
     Equal to counting `ball(tree, v, r).canonical_code()` over every v, in
-    one rerooting pass (see the module docstring).
+    one rerooting pass (see the module docstring) over the tree's parent
+    array.  Every level is a few `_intern_generation` calls:
+    - `down` interns each vertex's children's `down`;
+    - `up` interns, for each parent p and each distinct `down` d among its
+      children, p's pool (its children's `down` and its own `up`) minus the
+      slot of one child with `down` d; all those children share that row;
+    - the balls intern every vertex's whole pool.
+    At depth 0 every id is 0 (the single vertex), so the first level's rows
+    are stars, interned by length alone.
     """
-    if r < 0:
-        raise VertexOutOfRange(f"radius {r}")
+    _check_radius(r)
     n = tree.n
     if r == 0:
         return {"(1:)": n}
-    children = _rooted_at_zero(tree)
+    parent, _copies, root = tree.rooted()
+    is_child = np.arange(n) != root
+    others = np.flatnonzero(is_child)
+    kids = others[np.argsort(parent[others], kind="stable")]  # children, parent by parent
+    n_kids = np.bincount(parent[kids], minlength=n)
+    deg = n_kids + is_child
+    # the pool of v: slots for its children's down, in `kids` order, then
+    # one for its own up; pool_src indexes the concatenation (down, up)
+    pool_start = np.cumsum(deg) - deg
+    slot = np.empty(n, dtype=np.int64)  # each child's slot in its parent's pool
+    kid_start = np.cumsum(n_kids) - n_kids
+    slot[kids] = np.arange(len(kids)) + (pool_start - kid_start)[parent[kids]]
+    pool_src = np.empty(int(deg.sum()), dtype=np.int64)
+    pool_src[slot[kids]] = kids
+    pool_src[pool_start[others] + n_kids[others]] = n + others
+
     interner = CodeInterner()
-    intern = interner.intern
-    # cut at depth 0 both sides are a single vertex (id 0); the root's up is never read
-    down = [0] * n
-    up = [0] * n
-    for _h in range(1, r):
-        new_down = [intern(tuple(sorted([down[c] for c in kids]))) if kids else 0
-                    for kids in children]
-        new_up = [0] * n
-        for p, kids in enumerate(children):
-            if not kids:
-                continue
-            pool = [down[c] for c in kids]
-            if p:
-                pool.append(up[p])
-            pool.sort()
-            shared: dict[int, int] = {}  # children with equal down see equal up
-            for c in kids:
-                d = down[c]
-                got = shared.get(d)
-                if got is None:
-                    rest = pool.copy()
-                    rest.remove(d)
-                    got = shared[d] = intern(tuple(rest))
-                new_up[c] = got
-        if new_down == down and new_up == up:
+    down = up = np.zeros(n, dtype=np.uint8)
+    for h in range(1, r):
+        if h == 1:
+            new_down = _intern_generation(interner, n_kids, None)
+            new_up = _intern_generation(interner, np.where(is_child, deg[parent] - 1, 0), None)
+        else:
+            new_down = _intern_generation(interner, n_kids, down[kids])
+            new_up = _up_level(interner, parent, kids, slot, deg, pool_start,
+                               down, np.concatenate([down, up])[pool_src])
+        if np.array_equal(new_down, down) and np.array_equal(new_up, up):
             break  # every deeper truncation is the same tree
         down, up = new_down, new_up
-    counts: Counter[int] = Counter()
-    for v, kids in enumerate(children):
-        ball_kids = [down[c] for c in kids]
-        if v:
-            ball_kids.append(up[v])
-        ball_kids.sort()
-        counts[intern(tuple(ball_kids))] += 1
-    return {interner.to_code(cid): k for cid, k in counts.items()}
+    balls = _intern_generation(interner, deg, np.concatenate([down, up])[pool_src])
+    tally = np.bincount(balls)
+    return {interner.to_code(cid): int(tally[cid]) for cid in np.flatnonzero(tally).tolist()}
+
+
+def _up_level(interner, parent, kids, slot, deg, pool_start, down, pool) -> np.ndarray:
+    """Each child's next `up`: its parent's `pool` minus its own slot, one
+    row per parent and distinct child `down`."""
+    by_down = kids[np.lexsort((down[kids], parent[kids]))]
+    p, d = parent[by_down], down[by_down]
+    first = np.ones(len(by_down), dtype=bool)
+    first[1:] = (p[1:] != p[:-1]) | (d[1:] != d[:-1])
+    rep = by_down[first]
+    owner = parent[rep]
+    lens = deg[owner]
+    at = np.arange(int(lens.sum())) + np.repeat(pool_start[owner] - (np.cumsum(lens) - lens), lens)
+    row_ids = _intern_generation(interner, lens - 1, pool[at[at != np.repeat(slot[rep], lens)]])
+    new_up = np.zeros(len(parent), dtype=row_ids.dtype)
+    new_up[by_down] = row_ids[np.cumsum(first) - 1]
+    return new_up
 
 
 def degree_counts(tree) -> dict[int, int]:
-    """L_k = number of vertices of tree-degree k."""
-    counts: Counter[int] = Counter(len(a) for a in tree.adjacency())
-    return dict(counts)
+    """L_k = number of vertices of tree-degree k, from one bincount of the parent array."""
+    parent, _copies, root = tree.rooted()
+    deg = np.bincount(parent, minlength=tree.n) + 1  # children, plus the parent edge
+    deg[root] -= 2  # the root counted itself as its own child and has no parent edge
+    tally = np.bincount(deg)
+    return {k: int(tally[k]) for k in np.flatnonzero(tally).tolist()}
 
 
 def cross_edge_count(tree, decomposition) -> int:

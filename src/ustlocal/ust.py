@@ -7,7 +7,9 @@ Parallel copies are distinguishable: a tree edge is (u, v, copy).
 Both walk samplers step through `MultiGraph.step_table`, whose row x lists
 each neighbour once per parallel copy: a walker at x draws a uniform u and
 moves to nb[base[x] + floor(u deg(x))], that is to y with probability
-mult(x, y) / deg(x).
+mult(x, y) / deg(x).  The step is inlined in each sampler's loop, over a
+memoryview of `nb`.  The walk's parent pointers are the tree: a sampler
+returns them with one copy index per vertex (`SpanningTree.from_parents`).
 """
 from __future__ import annotations
 
@@ -28,11 +30,18 @@ from .errors import (
     ZeroMultiplicity,
 )
 from .multigraph import MultiGraph, _edge_multiset, _normalize_pair, forest_roots
-from .rng import UniformBuffer, stream
+from .rng import stream, uniform_blocks
 
 
 class SpanningTree:
-    """A spanning tree of an n-vertex host graph as a set of (u, v, copy) edges."""
+    """A spanning tree of an n-vertex host graph, with (u, v, copy) edges.
+
+    Built from an edge list, or from a parent array (`from_parents`), the
+    form the walk samplers produce.  Each form is derived from the other
+    on first use: `edges`, the sorted tuple of (u, v, copy) with u < v,
+    which equality, hashing and `edge_pairs` read; and `rooted()`, the
+    parent array, which the census and `degree_counts` read.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         self.n = int(n)
@@ -42,15 +51,86 @@ class SpanningTree:
             if a < 0 or b >= self.n:
                 raise VertexOutOfRange(f"tree edge ({a},{b}) outside 0..{self.n - 1}")
             norm.append((a, b, int(c)))
-        self.edges = tuple(sorted(norm))
-        if len(self.edges) != self.n - 1:
+        self._edges: tuple[tuple[int, int, int], ...] | None = tuple(sorted(norm))
+        if len(self._edges) != self.n - 1:
             raise PreconditionError(
-                f"{len(self.edges)} edges cannot span {self.n} vertices"
+                f"{len(self._edges)} edges cannot span {self.n} vertices"
             )
-        _roots, first_cycle = forest_roots(self.n, ((u, v) for (u, v, _c) in self.edges))
-        if first_cycle < len(self.edges):
+        _roots, first_cycle = forest_roots(self.n, ((u, v) for (u, v, _c) in self._edges))
+        if first_cycle < len(self._edges):
             raise PreconditionError("edge set contains a cycle")
+        self._rooted: tuple[np.ndarray, np.ndarray, int] | None = None
         self._adj: list[list[int]] | None = None
+
+    @classmethod
+    def from_parents(cls, n: int, parent, copies, root: int) -> "SpanningTree":
+        """The tree joining each vertex v != root to parent[v] by copy copies[v].
+
+        parent[root] is root.  Refused as the edge-list constructor refuses
+        an edge set: a root or parent outside 0..n-1 raises VertexOutOfRange;
+        arrays that are not n long, a root that is not its own parent, and
+        a vertex that never reaches the root (on a cycle, or its own parent)
+        raise PreconditionError.  The last is checked by pointer doubling:
+        after k rounds every vertex points 2^k steps up.
+        """
+        n = int(n)
+        parent = np.asarray(parent, dtype=np.int64)
+        copies = np.asarray(copies, dtype=np.int64)
+        if len(parent) != n or len(copies) != n:
+            raise PreconditionError(f"{len(parent)} parents and {len(copies)} copies for {n} vertices")
+        if not 0 <= root < n:
+            raise VertexOutOfRange(f"root {root} outside 0..{n - 1}")
+        outside = (parent < 0) | (parent >= n)
+        if outside.any():
+            v = int(np.argmax(outside))
+            raise VertexOutOfRange(f"parent {int(parent[v])} of vertex {v} outside 0..{n - 1}")
+        if parent[root] != root:
+            raise PreconditionError(f"root {root} has parent {int(parent[root])}")
+        up = parent
+        for _ in range(max(n - 2, 0).bit_length()):
+            up = up[up]
+        if not bool((up == root).all()):
+            raise PreconditionError("parent array contains a cycle")
+        tree = cls.__new__(cls)
+        tree.n = n
+        tree._edges = None
+        tree._rooted = (parent, copies, int(root))
+        tree._adj = None
+        return tree
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        if self._edges is None:
+            parent, copies, root = self._rooted
+            self._edges = tuple(sorted(
+                (v, p, c) if v < p else (p, v, c)
+                for v, (p, c) in enumerate(zip(parent.tolist(), copies.tolist())) if v != root
+            ))
+        return self._edges
+
+    def rooted(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(parent, copies, root): parent[v] is v's neighbour toward the root,
+        parent[root] is root, and copies[v] is the copy of the edge to it.
+
+        A tree built from edges is rooted at vertex 0 on first use.
+        """
+        if self._rooted is None:
+            adj = self.adjacency()
+            parent = list(range(self.n))
+            seen = [False] * self.n
+            seen[0] = True
+            order = [0]
+            for x in order:
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        parent[y] = x
+                        order.append(y)
+            copies = [0] * self.n
+            for (u, v, c) in self._edges:
+                copies[v if parent[v] == u else u] = c
+            self._rooted = (np.array(parent, dtype=np.int64), np.array(copies, dtype=np.int64), 0)
+        return self._rooted
 
     def adjacency(self) -> list[list[int]]:
         if self._adj is None:
@@ -78,78 +158,115 @@ class SpanningTree:
         return f"SpanningTree(n={self.n})"
 
 
-def _step(x: int, unif, nb: np.ndarray, base: list[int], deg: list[int]) -> int:
-    """One walk step from x; u deg(x) rounding up to deg(x) takes the last copy."""
-    d = deg[x]
-    k = int(unif() * d)
-    return int(nb[base[x] + (k if k < d else d - 1)])
+def _copies(G: MultiGraph, parent: np.ndarray, rng, order=None) -> np.ndarray:
+    """Which parallel copy joins each vertex to its parent, uniformly at random.
+
+    On a multigraph one `integers` draw per vertex of `order` (by default
+    every vertex but the root, in vertex order) with more than one copy.
+    """
+    copies = np.zeros(G.n, dtype=np.int64)
+    if not G.is_simple:
+        if order is None:
+            order = np.flatnonzero(parent != np.arange(G.n))  # the root is its own parent
+        order = np.asarray(order, dtype=np.int64)
+        mult = G.multiplicities(order, parent[order]).tolist()
+        copies[order] = [int(rng.integers(0, m)) if m > 1 else 0 for m in mult]
+    return copies
 
 
-def _assign_copies(G: MultiGraph, pairs: Sequence[tuple[int, int]], rng) -> list[tuple[int, int, int]]:
-    """Pick which parallel copy realizes each tree edge, uniformly at random."""
-    if G.is_simple:
-        return [(u, v, 0) for (u, v) in pairs]
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    mult = G.multiplicities(ends[:, 0], ends[:, 1]).tolist()
-    return [(u, v, int(rng.integers(0, m)) if m > 1 else 0) for (u, v), m in zip(pairs, mult)]
-
-
-def _check_root(G: MultiGraph, root: int) -> None:
+def _walk_table(G: MultiGraph, root: int):
+    """The step table of a connected G, as (nb, base, deg) for a Python loop."""
     if not (0 <= root < G.n):
         raise VertexOutOfRange(f"root {root} outside 0..{G.n - 1}")
+    if not G.is_connected():
+        raise GraphDisconnected("no spanning tree in a disconnected graph")
+    nb, base, deg = G.step_table()
+    return memoryview(nb), base.tolist(), deg.tolist()
+
+
+def _wilson_walk(nb: memoryview, base: list[int], deg: list[int], root: int, rng) -> tuple[list[int], int]:
+    """Wilson's `Next` array, the tree as parent pointers toward `root`
+    (whose entry is itself), and the number of walk steps taken.
+
+    A walker at x moves to nb[base[x] + floor(u deg(x))] for the next
+    uniform u of `uniform_blocks`: one uniform per step, as from a scalar
+    buffer with the same block schedule.
+    """
+    n = len(deg)
+    blocks = uniform_blocks(rng)
+    unif = next(blocks)
+    size = drawn = len(unif)
+    pos = 0
+    in_tree = [False] * n
+    in_tree[root] = True
+    nxt = list(range(n))
+    for start in range(n):
+        x = start
+        while not in_tree[x]:
+            if pos == size:
+                unif = next(blocks)
+                size = len(unif)
+                drawn += size
+                pos = 0
+            d = deg[x]
+            k = int(unif[pos] * d)  # u deg(x) rounding up to deg(x) takes the last copy
+            pos += 1
+            y = nb[base[x] + (k if k < d else d - 1)]
+            nxt[x] = y
+            x = y
+        x = start
+        while not in_tree[x]:
+            in_tree[x] = True
+            x = nxt[x]
+    return nxt, drawn - size + pos
 
 
 def wilson_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
     """Exact-uniform spanning tree by loop-erased random walks."""
-    _check_root(G, root)
-    if not G.is_connected():
-        raise GraphDisconnected("no spanning tree in a disconnected graph")
+    table = _walk_table(G, root)
     if G.n == 1:
         return SpanningTree(1, [])
     rng = stream(seed)
-    unif = UniformBuffer(rng)
-    nb, base, deg = G.step_table()
-    base, deg = base.tolist(), deg.tolist()
-    in_tree = [False] * G.n
-    nxt = [-1] * G.n
-    in_tree[root] = True
-    for start in range(G.n):
-        u = start
-        while not in_tree[u]:
-            nxt[u] = _step(u, unif, nb, base, deg)
-            u = nxt[u]
-        u = start
-        while not in_tree[u]:
-            in_tree[u] = True
-            u = nxt[u]
-    pairs = [(v, nxt[v]) for v in range(G.n) if v != root]
-    return SpanningTree(G.n, _assign_copies(G, pairs, rng))
+    nxt, _steps = _wilson_walk(*table, root, rng)
+    parent = np.array(nxt, dtype=np.int64)
+    return SpanningTree.from_parents(G.n, parent, _copies(G, parent, rng), root)
 
 
 def aldous_broder_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
-    """First-entrance random-walk sampler, kept as an independent cross-check."""
-    _check_root(G, root)
-    if not G.is_connected():
-        raise GraphDisconnected("no spanning tree in a disconnected graph")
+    """First-entrance random-walk sampler, kept as an independent cross-check.
+
+    Steps as `_wilson_walk` does; each vertex's parent is the vertex the
+    walk first entered it from, and copies are drawn in order of entry.
+    """
+    nb, base, deg = _walk_table(G, root)
     if G.n == 1:
         return SpanningTree(1, [])
     rng = stream(seed)
-    unif = UniformBuffer(rng)
-    nb, base, deg = G.step_table()
-    base, deg = base.tolist(), deg.tolist()
+    blocks = uniform_blocks(rng)
+    unif = next(blocks)
+    size = len(unif)
+    pos = 0
+    parent = list(range(G.n))
     visited = [False] * G.n
     visited[root] = True
-    remaining = G.n - 1
-    pairs = []
-    cur = root
-    while remaining:
-        nxt = _step(cur, unif, nb, base, deg)
-        if not visited[nxt]:
-            visited[nxt] = True
-            remaining -= 1
-            pairs.append((nxt, cur))
-        cur = nxt
-    return SpanningTree(G.n, _assign_copies(G, pairs, rng))
+    order = []
+    x = root
+    while len(order) < G.n - 1:
+        if pos == size:
+            unif = next(blocks)
+            size = len(unif)
+            pos = 0
+        d = deg[x]
+        k = int(unif[pos] * d)
+        pos += 1
+        y = nb[base[x] + (k if k < d else d - 1)]
+        if not visited[y]:
+            visited[y] = True
+            parent[y] = x
+            order.append(y)
+        x = y
+    parent = np.array(parent, dtype=np.int64)
+    return SpanningTree.from_parents(G.n, parent, _copies(G, parent, rng, order), root)
 
 
 def conditional_sample(

@@ -20,8 +20,8 @@ from ustlocal.freq import freq_graph_component, freq_minus
 from ustlocal.graphon import constant_graphon
 from ustlocal.multigraph import MultiGraph, complete_graph, path_graph
 from ustlocal.rng import stream
-from ustlocal.trees import RootedTree
-from ustlocal.ust import conditional_sample, wilson_sample
+from ustlocal.trees import RootedTree, ball, local_census
+from ustlocal.ust import SpanningTree, conditional_sample, wilson_sample
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None, -1])
@@ -154,3 +154,27 @@ def test_resistance_takes_numpy_integer_vertices():
     assert effective_resistance(P4, np.int64(0), np.uint8(3)) == effective_resistance(P4, 0, 3)
     assert LaplacianSystem(P4).resistance(np.int32(0), 3) == LaplacianSystem(P4).resistance(0, 3)
     assert edge_ust_probability(P4, (np.int64(1), np.int16(2))) == edge_ust_probability(P4, (1, 2))
+
+
+PATH3 = SpanningTree(3, [(0, 1, 0), (1, 2, 0)])
+
+
+@pytest.mark.parametrize("r", [1.5, 1.0, True, "2", None])
+def test_census_and_ball_reject_non_integer_radius(r):
+    # ball read 1.5 as "no limit" and returned the whole tree, local_census
+    # raised a raw TypeError, and both ran True as radius 1
+    with pytest.raises(VertexOutOfRange):
+        local_census(PATH3, r)
+    with pytest.raises(VertexOutOfRange):
+        ball(PATH3, 0, r)
+
+
+@pytest.mark.parametrize("v", [1.0, 0.5, True, "1", None])
+def test_ball_rejects_non_integer_vertex(v):
+    with pytest.raises(VertexOutOfRange):
+        ball(PATH3, v, 1)
+
+
+def test_census_and_ball_take_numpy_integers():
+    assert local_census(PATH3, np.int64(2)) == local_census(PATH3, 2)
+    assert ball(PATH3, np.int32(1), np.uint8(1)).canonical_code() == ball(PATH3, 1, 1).canonical_code()

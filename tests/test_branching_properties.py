@@ -3,8 +3,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ustlocal.branching import _intern_generation
-from ustlocal.trees import CodeInterner
+from ustlocal.trees import CodeInterner, _intern_generation
 
 from branching_oracle import intern_generation_oracle
 

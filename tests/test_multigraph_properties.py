@@ -14,6 +14,7 @@ from ustlocal.multigraph import (
     MultiGraph,
     _parse_edge_list_bytes,
     _parse_edge_list_lines,
+    forest_roots,
     read_edge_list,
     write_edge_list,
 )
@@ -143,6 +144,21 @@ def test_csr_matches_argsort_oracle(graph, isolated):
 def test_component_labels_many_components(graph):
     G, D = _both(*graph)
     assert G.component_labels().tolist() == D.component_labels()
+
+
+@PROPERTY
+@given(multigraphs(max_n=40, max_mult=2, density=0.6), st.integers(0, 3))
+@example((0, []), 0)
+@example((1, []), 0)
+@example((1, []), 2)
+def test_component_labels_match_forest_roots(graph, isolated):
+    # the union-find of edge sets numbers trees by smallest vertex too;
+    # `isolated` appends vertices without edges
+    n, entries = graph
+    G = MultiGraph.build(n + isolated, entries)
+    roots, _first_cycle = forest_roots(G.n, G.edge_pairs())
+    _uniq, want = np.unique(np.array(roots, dtype=np.int64), return_inverse=True)
+    assert G.component_labels().tolist() == want.ravel().tolist()
 
 
 @PROPERTY

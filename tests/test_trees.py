@@ -6,6 +6,7 @@ import pytest
 
 from ustlocal.decompose import ExpanderDecomposition
 from ustlocal.errors import InvalidVertices, PartitionMismatch, VertexOutOfRange
+from ustlocal import trees
 from ustlocal.trees import (
     RootedTree,
     ball,
@@ -17,6 +18,7 @@ from ustlocal.trees import (
 from ustlocal.ust import SpanningTree, wilson_sample
 
 from conftest import random_connected_graph
+import trees_oracle
 from trees_oracle import rooted_isomorphic, truncate
 
 
@@ -202,3 +204,21 @@ def test_census_beyond_the_diameter():
     assert sorted(expected.values()) == [1] + [2] * (n // 2)
     for r in (n - 1, n, 10 * n):
         assert local_census(tree, r) == dict(expected)
+
+
+def test_census_star_children_share_one_up_row(monkeypatch):
+    # the hub's d leaf children all have down 0, so they share one up row of
+    # d - 1 entries instead of d rows: the rows stay linear in n
+    n = 400
+    star = SpanningTree(n, [(0, v, 0) for v in range(1, n)])
+    entries = []
+    real = trees._intern_generation
+
+    def counting(interner, counts, child_codes):
+        entries.append(0 if child_codes is None else len(child_codes))
+        return real(interner, counts, child_codes)
+
+    want = trees_oracle.local_census(star, 4)
+    monkeypatch.setattr(trees, "_intern_generation", counting)
+    assert trees.local_census(star, 4) == want
+    assert 0 < sum(entries) <= 6 * n

@@ -1,6 +1,7 @@
 """Property tests: the rerooting census and the interned codes against oracles.
 
-The census is checked against counting the per-vertex `ball` codes, and
+The census is checked against counting the per-vertex `ball` codes and
+against the earlier list-by-list census, and
 `RootedTree`'s codes, stabilizer sizes and normalized order against the
 string-code construction kept here as a reference.
 """
@@ -11,8 +12,10 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ustlocal.trees import RootedTree, ball, local_census
+from ustlocal.trees import RootedTree, ball, degree_counts, local_census
 from ustlocal.ust import SpanningTree
+
+import trees_oracle
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -109,6 +112,26 @@ def test_census_equals_ball_oracle(graph, data):
     for r in range(5):
         oracle = Counter(ball(tree, v, r).canonical_code() for v in range(n))
         assert local_census(tree, r) == dict(oracle)
+
+
+@PROPERTY
+@given(labelled_trees(), st.data())
+def test_array_census_equals_list_census(graph, data):
+    # the parent-array census against the earlier list-by-list one, with the
+    # tree rooted at a drawn vertex; a radius of n + 1 is past the diameter
+    n, edges = graph
+    root = data.draw(st.integers(0, n - 1))
+    parent = rooted(n, edges, root)
+    parent[root] = root
+    from_parents = SpanningTree.from_parents(n, parent, [0] * n, root)
+    from_edges = spanning_tree(n, edges)
+    assert from_parents == from_edges
+    for r in (*range(5), n + 1):
+        want = trees_oracle.local_census(from_edges, r)
+        assert local_census(from_parents, r) == want
+        assert local_census(from_edges, r) == want
+    want = Counter(len(a) for a in from_edges.adjacency())
+    assert degree_counts(from_parents) == degree_counts(from_edges) == dict(want)
 
 
 @PROPERTY

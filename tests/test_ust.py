@@ -18,6 +18,7 @@ from ustlocal.errors import (
 )
 from ustlocal.graphon import StepGraphon, sample_w_random_graph
 from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, path_graph
+from ustlocal.rng import stream
 from ustlocal.ust import (
     SpanningTree,
     aldous_broder_sample,
@@ -235,29 +236,53 @@ def test_spanning_tree_rejects_cycles_and_outside_vertices():
     assert SpanningTree(4, [(2, 3, 0), (0, 1, 0), (1, 2, 0)]).edge_pairs() == [(0, 1), (1, 2), (2, 3)]
 
 
-class _CountingBuffer(ust.UniformBuffer):
-    """A UniformBuffer that counts the uniforms handed out: one per walk step."""
+def test_parent_array_refusals():
+    zeros = [0] * 4
+    with pytest.raises(PreconditionError):
+        SpanningTree.from_parents(4, [0, 2, 1, 0], zeros, 0)  # 1 and 2 point at each other
+    with pytest.raises(PreconditionError):
+        SpanningTree.from_parents(4, [0, 0, 2, 2], zeros, 0)  # 2 is its own parent
+    with pytest.raises(PreconditionError):
+        SpanningTree.from_parents(4, [1, 0, 0, 0], zeros, 0)  # the root is not its own parent
+    with pytest.raises(VertexOutOfRange):
+        SpanningTree.from_parents(4, [0, 0, 4, 0], zeros, 0)
+    with pytest.raises(VertexOutOfRange):
+        SpanningTree.from_parents(4, [0, -1, 0, 0], zeros, 0)
+    with pytest.raises(VertexOutOfRange):
+        SpanningTree.from_parents(4, [0, 0, 0, 0], zeros, 4)
+    with pytest.raises(PreconditionError):
+        SpanningTree.from_parents(4, [0, 0, 0], zeros, 0)
+    with pytest.raises(PreconditionError):
+        SpanningTree.from_parents(4, [0, 0, 0, 0], [0] * 5, 0)
+    # a path 0..19 and, apart from it, a cycle 20 -> 21 -> ... -> 39 -> 20
+    parent = [0] + list(range(19)) + list(range(21, 40)) + [20]
+    with pytest.raises(PreconditionError):
+        SpanningTree.from_parents(40, parent, [0] * 40, 0)
 
-    calls = 0
 
-    def __call__(self) -> float:
-        _CountingBuffer.calls += 1
-        return super().__call__()
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 17, 33, 64, 65])
+def test_parent_array_paths_pass_pointer_doubling(n):
+    # a path hung from one end is as deep as a tree gets: n - 1 steps
+    tree = SpanningTree.from_parents(n, [0] + list(range(n - 1)), [0] * n, 0)
+    assert tree == SpanningTree(n, [(i, i + 1, 0) for i in range(n - 1)])
+    assert hash(tree) == hash(SpanningTree(n, [(i, i + 1, 0) for i in range(n - 1)]))
+    # hung from the other end
+    tree = SpanningTree.from_parents(n, list(range(1, n)) + [n - 1], [0] * n, n - 1)
+    assert tree.edge_pairs() == [(i, i + 1) for i in range(n - 1)]
 
 
-def test_wilson_expected_steps_is_degree_weighted_resistance(monkeypatch):
+def test_wilson_expected_steps_is_degree_weighted_resistance():
     # Wilson (1996): the walks take sum_v deg(v) R_eff(root, v) steps on average
     g = StepGraphon(np.array([0.4, 0.6]), np.array([[0.9, 0.3], [0.3, 0.6]]))
     G, _labels = sample_w_random_graph(g, 30, seed=12)
     assert G.is_connected()
     lap = LaplacianSystem(G, ground=0)
     expected = sum(float(G.degrees[v]) * lap.resistance(0, v) for v in range(1, G.n))
-    monkeypatch.setattr(ust, "UniformBuffer", _CountingBuffer)
     runs = 2000
     steps = np.empty(runs)
+    table = ust._walk_table(G, 0)
     for i in range(runs):
-        _CountingBuffer.calls = 0
-        wilson_sample(G, seed=700 + i)
-        steps[i] = _CountingBuffer.calls
+        # the walk counts its own steps: one uniform each
+        _nxt, steps[i] = ust._wilson_walk(*table, 0, stream(700 + i))
     se = steps.std(ddof=1) / math.sqrt(runs)
     assert abs(steps.mean() - expected) <= 4 * se

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from ustlocal.errors import UstlocalError
 from ustlocal.multigraph import MultiGraph
-from ustlocal.ust import conditional_sample, enumerate_spanning_trees
+from ustlocal.ust import aldous_broder_sample, conditional_sample, enumerate_spanning_trees, wilson_sample
 
 import ust_oracle
 
@@ -61,3 +61,16 @@ def test_conditional_sample_matches_oracle(G, data, seed):
 def test_enumerator_matches_oracle(G):
     # the same trees in the same order, or the same error class
     assert _outcome(enumerate_spanning_trees, G) == _outcome(ust_oracle.enumerate_spanning_trees, G)
+
+
+@PROPERTY
+@given(st.one_of(multigraphs(), multigraphs(max_mult=1)), st.data(), st.integers(0, 2**32))
+def test_walk_samplers_match_oracle(G, data, seed):
+    # the inlined walks and parent-array trees against the earlier samplers:
+    # the same edges and copies, or the same error class
+    root = data.draw(st.integers(0, G.n - 1))
+    for sampler, oracle in (
+        (wilson_sample, ust_oracle.wilson_sample),
+        (aldous_broder_sample, ust_oracle.aldous_broder_sample),
+    ):
+        assert _outcome(sampler, G, seed, root) == _outcome(oracle, G, seed, root)

@@ -1,10 +1,15 @@
 """Reference spanning-tree operations that only the tests use.
 
+`wilson_sample` and `aldous_broder_sample` are the library's earlier
+samplers: one `_step` call and one buffered uniform per walk step, and the
+tree built from its (u, v, copy) edge list.  The library samplers must
+return the same trees, copies included.
+
 The earlier forms of `ustlocal.ust.conditional_sample`, which built its own
 quotient graph, and of `enumerate_spanning_trees`, which kept a private
-dict-based union-find.  They carry their own union-finds so that they share
-no graph code with the library beyond `MultiGraph` itself and Wilson's
-sampler.
+dict-based union-find.  They carry their own union-finds and walk with
+the Wilson sampler above, so that they share no graph code with the
+library beyond `MultiGraph` itself.
 """
 import math
 
@@ -16,9 +21,100 @@ from ustlocal.errors import (
     GraphDisconnected,
     IncludeHasCycle,
     TooManyTrees,
+    VertexOutOfRange,
 )
 from ustlocal.multigraph import MultiGraph, _edge_multiset
-from ustlocal.ust import SpanningTree, wilson_sample
+from ustlocal.rng import stream
+from ustlocal.ust import SpanningTree
+
+
+class _Uniforms:
+    """Scalar uniforms from blocks of 256, doubling on refill up to 16384."""
+
+    def __init__(self, gen, size=256, cap=16384):
+        self._gen = gen
+        self._size = size
+        self._cap = cap
+        self._buf = gen.random(size)
+        self._pos = 0
+
+    def __call__(self):
+        if self._pos == self._size:
+            self._size = min(2 * self._size, self._cap)
+            self._buf = self._gen.random(self._size)
+            self._pos = 0
+        self._pos += 1
+        return self._buf[self._pos - 1]
+
+
+def _step(x, unif, nb, base, deg):
+    """One walk step from x; u deg(x) rounding up to deg(x) takes the last copy."""
+    d = deg[x]
+    k = int(unif() * d)
+    return int(nb[base[x] + (k if k < d else d - 1)])
+
+
+def _assign_copies(G, pairs, rng):
+    """Pick which parallel copy realizes each tree edge, uniformly at random."""
+    if G.is_simple:
+        return [(u, v, 0) for (u, v) in pairs]
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    mult = G.multiplicities(ends[:, 0], ends[:, 1]).tolist()
+    return [(u, v, int(rng.integers(0, m)) if m > 1 else 0) for (u, v), m in zip(pairs, mult)]
+
+
+def _walk_setup(G, root):
+    if not (0 <= root < G.n):
+        raise VertexOutOfRange(f"root {root} outside 0..{G.n - 1}")
+    if not G.is_connected():
+        raise GraphDisconnected("no spanning tree in a disconnected graph")
+    nb, base, deg = G.step_table()
+    return nb, base.tolist(), deg.tolist()
+
+
+def wilson_sample(G, seed, root=0):
+    """Wilson's loop-erased walks, one `_step` call per step."""
+    nb, base, deg = _walk_setup(G, root)
+    if G.n == 1:
+        return SpanningTree(1, [])
+    rng = stream(seed)
+    unif = _Uniforms(rng)
+    in_tree = [False] * G.n
+    nxt = [-1] * G.n
+    in_tree[root] = True
+    for start in range(G.n):
+        u = start
+        while not in_tree[u]:
+            nxt[u] = _step(u, unif, nb, base, deg)
+            u = nxt[u]
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = nxt[u]
+    pairs = [(v, nxt[v]) for v in range(G.n) if v != root]
+    return SpanningTree(G.n, _assign_copies(G, pairs, rng))
+
+
+def aldous_broder_sample(G, seed, root=0):
+    """First-entrance walk, one `_step` call per step."""
+    nb, base, deg = _walk_setup(G, root)
+    if G.n == 1:
+        return SpanningTree(1, [])
+    rng = stream(seed)
+    unif = _Uniforms(rng)
+    visited = [False] * G.n
+    visited[root] = True
+    remaining = G.n - 1
+    pairs = []
+    cur = root
+    while remaining:
+        nxt = _step(cur, unif, nb, base, deg)
+        if not visited[nxt]:
+            visited[nxt] = True
+            remaining -= 1
+            pairs.append((nxt, cur))
+        cur = nxt
+    return SpanningTree(G.n, _assign_copies(G, pairs, rng))
 
 
 def _forest_prefix(n, pairs):
