@@ -295,7 +295,7 @@ def local_census(tree, r: int) -> dict[str, int]:
     n = tree.n
     if r == 0:
         return {"(1:)": n}
-    parent, _copies, root = tree.rooted()
+    parent, root = tree.rooted()
     is_child = np.arange(n) != root
     others = np.flatnonzero(is_child)
     kids = others[np.argsort(parent[others], kind="stable")]  # children, parent by parent
@@ -348,7 +348,7 @@ def _up_level(interner, parent, kids, slot, deg, pool_start, down, pool) -> np.n
 
 def degree_counts(tree) -> dict[int, int]:
     """L_k = number of vertices of tree-degree k, from one bincount of the parent array."""
-    parent, _copies, root = tree.rooted()
+    parent, root = tree.rooted()
     deg = np.bincount(parent, minlength=tree.n) + 1  # children, plus the parent edge
     deg[root] -= 2  # the root counted itself as its own child and has no parent edge
     tally = np.bincount(deg)

@@ -40,7 +40,8 @@ class SpanningTree:
     form the walk samplers produce.  Each form is derived from the other
     on first use: `edges`, the sorted tuple of (u, v, copy) with u < v,
     which equality, hashing and `edge_pairs` read; and `rooted()`, the
-    parent array, which the census and `degree_counts` read.
+    parent array, which the census and `degree_counts` read.  A tree built
+    from a parent array keeps its copy indices for `edges`.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
@@ -59,7 +60,9 @@ class SpanningTree:
         _roots, first_cycle = forest_roots(self.n, ((u, v) for (u, v, _c) in self._edges))
         if first_cycle < len(self._edges):
             raise PreconditionError("edge set contains a cycle")
-        self._rooted: tuple[np.ndarray, np.ndarray, int] | None = None
+        self._parent: np.ndarray | None = None
+        self._copies: np.ndarray | None = None
+        self._root = 0
         self._adj: list[list[int]] | None = None
 
     @classmethod
@@ -94,27 +97,26 @@ class SpanningTree:
         tree = cls.__new__(cls)
         tree.n = n
         tree._edges = None
-        tree._rooted = (parent, copies, int(root))
+        tree._parent, tree._copies, tree._root = parent, copies, int(root)
         tree._adj = None
         return tree
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         if self._edges is None:
-            parent, copies, root = self._rooted
+            pairs = zip(self._parent.tolist(), self._copies.tolist())
             self._edges = tuple(sorted(
-                (v, p, c) if v < p else (p, v, c)
-                for v, (p, c) in enumerate(zip(parent.tolist(), copies.tolist())) if v != root
+                (v, p, c) if v < p else (p, v, c) for v, (p, c) in enumerate(pairs) if v != self._root
             ))
         return self._edges
 
-    def rooted(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(parent, copies, root): parent[v] is v's neighbour toward the root,
-        parent[root] is root, and copies[v] is the copy of the edge to it.
+    def rooted(self) -> tuple[np.ndarray, int]:
+        """(parent, root): parent[v] is v's neighbour toward the root, and
+        parent[root] is root.
 
         A tree built from edges is rooted at vertex 0 on first use.
         """
-        if self._rooted is None:
+        if self._parent is None:
             adj = self.adjacency()
             parent = list(range(self.n))
             seen = [False] * self.n
@@ -126,11 +128,8 @@ class SpanningTree:
                         seen[y] = True
                         parent[y] = x
                         order.append(y)
-            copies = [0] * self.n
-            for (u, v, c) in self._edges:
-                copies[v if parent[v] == u else u] = c
-            self._rooted = (np.array(parent, dtype=np.int64), np.array(copies, dtype=np.int64), 0)
-        return self._rooted
+            self._parent = np.array(parent, dtype=np.int64)
+        return self._parent, self._root
 
     def adjacency(self) -> list[list[int]]:
         if self._adj is None:
