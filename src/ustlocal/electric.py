@@ -28,22 +28,28 @@ from .errors import (
 from .multigraph import MultiGraph
 
 
+# edges scattered per chunk into the grounded minor
+_MINOR_EDGES = 1 << 16
+
+
 def _grounded_minor(G: MultiGraph, ground: int) -> np.ndarray:
     """The Laplacian of G without row and column `ground`, as one (n-1)^2 float64 array.
 
-    -mult is scattered off the diagonal and the degrees go on it, so the
-    entries equal those of (diag(deg) - A) with `ground` deleted.  The array
-    is symmetric and C-ordered; its transpose is the Fortran-ordered view
-    LAPACK can overwrite.
+    -mult is scattered off the diagonal, _MINOR_EDGES edges at a time, and
+    the degrees go on it, so the entries equal those of (diag(deg) - A) with
+    `ground` deleted.  The array is symmetric and C-ordered; its transpose
+    is the Fortran-ordered view LAPACK can overwrite.
     """
     vertex = np.arange(G.n)
     at = vertex - (vertex > ground)  # each vertex's row in the minor
-    inside = (G.u != ground) & (G.v != ground)
-    a, b = at[G.u[inside]], at[G.v[inside]]
-    w = -G.mult[inside].astype(np.float64)
     minor = np.zeros((G.n - 1, G.n - 1))
-    minor[a, b] = w
-    minor[b, a] = w
+    for lo in range(0, len(G.u), _MINOR_EDGES):
+        u, v = G.u[lo:lo + _MINOR_EDGES], G.v[lo:lo + _MINOR_EDGES]
+        inside = (u != ground) & (v != ground)
+        a, b = at[u[inside]], at[v[inside]]
+        w = -G.mult[lo:lo + _MINOR_EDGES][inside].astype(np.float64)
+        minor[a, b] = w
+        minor[b, a] = w
     np.fill_diagonal(minor, np.delete(G.degrees, ground))
     return minor
 

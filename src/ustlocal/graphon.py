@@ -18,10 +18,9 @@ from .errors import (
     EntryOutOfRange,
     MeasuresDontSumToOne,
     TooManyBlocks,
-    VertexOutOfRange,
     malformed_json,
 )
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, vertex_count
 from .rng import stream
 
 CUT_NORM_BLOCK_LIMIT = 15
@@ -138,18 +137,45 @@ def cut_norm_step(U: np.ndarray, mu: np.ndarray, block_limit: int = CUT_NORM_BLO
     return best
 
 
+# pairs per block of the edge draw (whole rows of the upper triangle)
+_PAIR_BLOCK = 1 << 16
+
+
 def sample_w_random_graph(g: StepGraphon, n: int, seed: int) -> tuple[MultiGraph, np.ndarray]:
-    """W-random simple graph: iid block labels, independent edges W[type u][type v]."""
-    if int(n) < 0:
-        raise VertexOutOfRange(f"negative vertex count {n}")
+    """W-random simple graph: iid block labels, independent edges W[type u][type v].
+
+    The pairs u < v take one uniform each in row-major order.  They are
+    drawn in blocks of whole rows, about _PAIR_BLOCK pairs each, which
+    reads the same stream as one draw over all pairs; a block is the
+    rectangle of its rows against the columns after its first row, whose
+    upper triangle holds its pairs.  A vertex count that is not an integer
+    in 0..MAX_VERTICES raises VertexOutOfRange.
+    """
+    n = vertex_count(n)
     rng = stream(seed)
     cum = np.cumsum(g.mu)
     labels = np.searchsorted(cum, rng.random(n), side="right")
     labels = np.minimum(labels, g.k - 1).astype(np.int64)
-    iu, ju = np.triu_indices(n, k=1)
-    probs = g.W[labels[iu], labels[ju]]
-    keep = rng.random(len(iu)) < probs
-    return MultiGraph.from_arrays(n, iu[keep], ju[keep]), labels
+    narrow = np.min_scalar_type(max(n - 1, 0))
+    us, vs = [np.zeros(0, dtype=narrow)], [np.zeros(0, dtype=narrow)]
+    row = 0
+    while row < n - 1:
+        # rows row..row+h-1 against columns row+1..n-1; column c of row r is a pair when c > r
+        width = n - 1 - row
+        h = min(max(_PAIR_BLOCK // width, 1), width)
+        upper = np.arange(width) >= np.arange(h)[:, None]
+        probs = g.W[labels[row:row + h, None], labels[row + 1:]]
+        hit = np.zeros((h, width), dtype=bool)
+        hit[upper] = rng.random(np.count_nonzero(upper)) < probs[upper]
+        r, c = np.nonzero(hit)
+        us.append((r + row).astype(narrow))
+        vs.append((c + row + 1).astype(narrow))
+        row += h
+    u = np.concatenate(us, dtype=np.int64)
+    del us
+    v = np.concatenate(vs, dtype=np.int64)
+    del vs
+    return MultiGraph.from_arrays(n, u, v), labels
 
 
 @dataclass

@@ -4,8 +4,11 @@ Edges are stored as three int64 arrays `u`, `v`, `mult` with u < v, one entry
 per vertex pair, in lexicographic (u, v) order, so every downstream sampler
 is reproducible.  A compressed sparse row (CSR) form of the symmetric
 adjacency (`indptr`, `indices`, `weights`) is built on first use; each row
-lists its neighbours in increasing order.  e(A, B) counts ordered pairs with
-multiplicity: an edge with both endpoints in A and B contributes twice.
+lists its neighbours in increasing order.  Multiplicities that are all 1
+(given as none, or read from a file of two-token lines) and the CSR weights
+of a simple graph are read-only broadcasts of 1 that hold no memory.
+e(A, B) counts ordered pairs with multiplicity: an edge with both endpoints
+in A and B contributes twice.
 """
 from __future__ import annotations
 
@@ -31,6 +34,17 @@ MAX_VERTICES = 3_037_000_499
 MAX_MULTIPLICITY = 2**63 - 1
 # the largest total multiplicity whose degree sum 2 * num_edges fits an int64
 MAX_TOTAL_MULTIPLICITY = 2**62 - 1
+
+
+def vertex_count(n) -> int:
+    """n as an int, for a vertex count.
+
+    Anything but an integer in 0..MAX_VERTICES (2.5, True, "3") raises
+    VertexOutOfRange; numpy integers are taken.
+    """
+    if not is_integer(n) or not 0 <= n <= MAX_VERTICES:
+        raise VertexOutOfRange(f"vertex count {n!r} is not an integer in 0..{MAX_VERTICES}")
+    return int(n)
 
 
 def _normalize_pair(u: int, v: int) -> tuple[int, int]:
@@ -99,31 +113,40 @@ def forest_roots(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], i
     return parent, (count if first_cycle < 0 else first_cycle)
 
 
-def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+def _unit(m: int) -> np.ndarray:
+    """m int64 ones as a read-only broadcast, which holds no memory."""
+    return np.broadcast_to(np.int64(1), m)
+
+
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None):
     """(indptr, indices, weights) of the symmetric adjacency of the edges (u, v, w).
 
     Row r lists the edges (a, r) first, then (r, b); for pairs in
     lexicographic order with a < r < b every row lists its neighbours in
-    increasing order.  The (r, b) half is already in row order (u is
-    sorted), so only the v half is stable-sorted, keyed in the narrowest
-    unsigned type that holds n - 1 (numpy sorts it by radix up to
-    n = 65 536).  Both halves are then scattered into place: the k-th
-    sorted (a, r) entry lands k places past the (r', b) entries of the rows
-    r' < r, and the i-th (r, b) entry i places past the (a, r') entries of
-    the rows r' <= r.
+    increasing order.  A boolean mask over the 2m slots marks each row's
+    (r, b) part; that half is already in row order (u is sorted), so it is
+    copied in as it stands, and only the v half is stable-sorted, keyed in
+    the narrowest unsigned type that holds n - 1 (numpy sorts it by radix up
+    to n = 65 536).  `w` None means every weight is 1: `weights` is then
+    `_unit(2m)`.
     """
     m = len(u)
     ups, downs = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
-    up_ends, down_ends = np.cumsum(ups), np.cumsum(downs)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add(up_ends, down_ends, out=indptr[1:])
-    order = np.argsort(v.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
-    first = np.arange(m) + np.repeat(down_ends - downs, ups)
-    second = np.arange(m) + np.repeat(up_ends, downs)
+    np.cumsum(ups + downs, out=indptr[1:])
+    down = np.repeat(np.tile(np.array([False, True]), n), np.stack([ups, downs], axis=1).ravel())
     indices = np.empty(2 * m, dtype=np.int64)
-    weights = np.empty(2 * m, dtype=w.dtype)
-    indices[first], weights[first] = u[order], w[order]
-    indices[second], weights[second] = v, w
+    indices[down] = v
+    if w is None:
+        weights = _unit(2 * m)
+    else:
+        weights = np.empty(2 * m, dtype=w.dtype)
+        weights[down] = w
+    np.logical_not(down, out=down)
+    order = np.argsort(v.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    indices[down] = u[order]
+    if w is not None:
+        weights[down] = w[order]
     return indptr, indices, weights
 
 
@@ -189,16 +212,17 @@ class MultiGraph:
 
         Entries are checked in order and the first bad one raises: a loop
         (LoopEdge), then an endpoint outside 0..n-1 (VertexOutOfRange), then
-        a multiplicity below 1 (ZeroMultiplicity).  A vertex count outside
-        0..MAX_VERTICES raises VertexOutOfRange, and a pair whose summed
-        multiplicity exceeds MAX_MULTIPLICITY raises ParameterOutOfRange.
+        a multiplicity below 1 (ZeroMultiplicity).  A vertex count that is
+        not an integer in 0..MAX_VERTICES raises VertexOutOfRange, and a pair
+        whose summed multiplicity exceeds MAX_MULTIPLICITY raises
+        ParameterOutOfRange.  int64 arrays that are already canonical (u < v,
+        pairs in increasing order) are kept as they are, not copied, and made
+        read-only; with no `mult` the multiplicities are `_unit(m)`.
         """
-        n = int(n)
-        if not 0 <= n <= MAX_VERTICES:
-            raise VertexOutOfRange(f"vertex count {n} outside 0..{MAX_VERTICES}")
-        u = np.asarray(u, dtype=np.int64).ravel()
-        v = np.asarray(v, dtype=np.int64).ravel()
-        m = np.ones(len(u), dtype=np.int64) if mult is None else np.array(mult, dtype=np.int64).ravel()
+        n = vertex_count(n)
+        u = np.asarray(u, dtype=np.int64).reshape(-1)
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        m = _unit(len(u)) if mult is None else np.asarray(mult, dtype=np.int64).reshape(-1)
         loop = u == v
         outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         zero = m < 1
@@ -211,16 +235,19 @@ class MultiGraph:
             if outside[i]:
                 raise VertexOutOfRange(f"edge ({a},{b}) outside 0..{n - 1}")
             raise ZeroMultiplicity(f"multiplicity {c} for edge ({a},{b})")
-        a, b = np.minimum(u, v), np.maximum(u, v)
-        key = a * n + b
+        del loop, outside, zero
+        if not bool((u < v).all()):
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        key = u * n + v
         if len(key) > 1 and not bool((key[1:] > key[:-1]).all()):
             order = np.argsort(key, kind="stable")
             key, m = key[order], m[order]
+            del order
             starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
             _check_sums(m, starts, key, n)
             key, m = key[starts], np.add.reduceat(m, starts)
-            a, b = key // n, key % n
-        return cls(n, a, b, m)
+            u, v = key // n, key % n
+        return cls(n, u, v, m)
 
     @classmethod
     def build(cls, n: int, edge_list: Iterable[Sequence[int]]) -> "MultiGraph":
@@ -229,6 +256,7 @@ class MultiGraph:
         A malformed entry raises MalformedEdge (see `_edge_entry`); the rest
         is checked as in `from_arrays`.
         """
+        n = vertex_count(n)
         rows = [_edge_entry(entry) for entry in edge_list]
         table = np.array(rows, dtype=np.int64).reshape(-1, 3)
         return cls.from_arrays(n, table[:, 0], table[:, 1], table[:, 2])
@@ -327,9 +355,12 @@ class MultiGraph:
         return A
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, weights) of the symmetric adjacency, rows sorted by neighbour."""
+        """(indptr, indices, weights) of the symmetric adjacency, rows sorted by neighbour.
+
+        On a simple graph `weights` is a read-only broadcast of 1.
+        """
         if self._csr is None:
-            self._csr = _symmetric_csr(self.n, self.u, self.v, self.mult)
+            self._csr = _symmetric_csr(self.n, self.u, self.v, None if self.is_simple else self.mult)
             for arr in self._csr:
                 arr.flags.writeable = False
         return self._csr
@@ -339,14 +370,18 @@ class MultiGraph:
 
         `nb` repeats each CSR neighbour once per parallel copy, so row x is
         nb[base[x] : base[x] + deg[x]] and a uniform index into it picks y
-        with probability mult(x, y) / deg(x).
+        with probability mult(x, y) / deg(x).  On a simple graph `nb` is the
+        CSR `indices` and `base` its `indptr[:-1]`, shared, not copied.
         """
         if self._steps is None:
-            _indptr, indices, weights = self.csr()
+            indptr, indices, weights = self.csr()
             deg = self.degrees
-            nb, base = np.repeat(indices, weights), np.cumsum(deg) - deg
-            for arr in (nb, base):
-                arr.flags.writeable = False
+            if self.is_simple:
+                nb, base = indices, indptr[:-1]
+            else:
+                nb, base = np.repeat(indices, weights), np.cumsum(deg) - deg
+                for arr in (nb, base):
+                    arr.flags.writeable = False
             self._steps = (nb, base, deg)
         return self._steps
 
@@ -436,8 +471,9 @@ class MultiGraph:
 
         scipy's weakly connected components of the stored pairs as directed
         edges u -> v: u is sorted, so the CSR of that half is `v` itself
-        with one bincount for its row pointers, and nothing is mirrored or
-        sorted.
+        with one bincount for its row pointers, and the pairs are not
+        mirrored here.  scipy still transposes that half (`csr_tocsc`) on
+        every call, to walk the edges both ways.
         """
         if self._components is None:
             from scipy.sparse import csr_matrix
@@ -482,11 +518,11 @@ class MultiGraph:
 
     def to_edge_list_text(self) -> str:
         """Header "n pairs", then one "u v" line per pair, "u v m" when m > 1."""
-        return _edge_list_bytes(self).decode("ascii")
+        return b"".join(_edge_list_chunks(self)).decode("ascii")
 
     @classmethod
-    def from_edge_list_text(cls, text: str) -> "MultiGraph":
-        """Parse the edge-list format.
+    def from_edge_list_text(cls, text: str | bytes) -> "MultiGraph":
+        """Parse the edge-list format, from a str or from its bytes.
 
         Grammar: ASCII text of whitespace-separated decimal integers, one
         record per line, blank lines ignored.  The first record is the header
@@ -498,17 +534,15 @@ class MultiGraph:
         that is not two or three tokens, a token that is not an integer (all
         VertexOutOfRange); then, per edge in file order, a loop (LoopEdge), an
         endpoint outside 0..n-1 (VertexOutOfRange) or a multiplicity below 1
-        (ZeroMultiplicity), as in `from_arrays`.
+        (ZeroMultiplicity), as in `from_arrays`.  Bytes that are not ASCII
+        raise UnicodeDecodeError.
 
         Files of plain digits, spaces, tabs and newlines are read by a few
         numpy passes over the bytes; any other text, and any file the fast
         path finds malformed, goes to the line-by-line reader, which is the
         only place parse errors are raised.
         """
-        parsed = _parse_edge_list_bytes(text)
-        if parsed is None:
-            parsed = _parse_edge_list_lines(text)
-        return cls.from_arrays(*parsed)
+        return cls.from_arrays(*_parse_edge_list(text))
 
     # -- misc ----------------------------------------------------------------------
 
@@ -595,55 +629,66 @@ def _parse_edge_list_lines(text: str) -> tuple[int, np.ndarray, np.ndarray, np.n
     return (n, *_gather_edges(values, widths[1:]))
 
 
-# 18 digits stay below 2**63; longer tokens go to the checked reader
-_MAX_DIGITS = 18
+def _parse_edge_list(data: str | bytes) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, u, v, mult) of an edge-list file: the byte reader, else the line reader."""
+    parsed = _parse_edge_list_bytes(data)
+    if parsed is None:
+        parsed = _parse_edge_list_lines(data if isinstance(data, str) else data.decode("ascii"))
+    return parsed
 
 
-def _parse_edge_list_bytes(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _parse_edge_list_bytes(data: str | bytes) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
     """(n, u, v, mult) of a well-formed file of digits, spaces, tabs and
     newlines, by vectorized passes over its bytes; None for anything else.
 
     Bytes are classed by comparison: a digit is one with b - "0" < 10 in
     uint8, where the bytes below "0" wrap past 10, and the file is plain when
-    its digits, spaces, tabs and newlines add up to its length.  Token
-    boundaries are the bytes whose digit class differs from the byte
-    before, with non-digits outside the file, so they alternate start, stop.
-    A line's width is the number of token starts between its newlines.  The
+    its digits, spaces, tabs and newlines add up to its length.  A token
+    starts at a digit after a non-digit, and a line's width is the number of
+    token starts between its newlines, summed by one `np.add.reduceat`.  The
     values come from one `np.fromstring` call, whose count must match the
-    token count.
+    token count; a value that leaves int64 comes back clamped to INT64_MAX,
+    so a file holding that value goes to the checked reader, as does every
+    token of 19 or more digits that does not fit.
     """
-    if not text or not text.isascii():
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    if not data:
         return None
-    raw = text.encode("ascii")
-    b = np.frombuffer(raw, dtype=np.uint8)
+    b = np.frombuffer(data, dtype=np.uint8)
     digit = (b - np.uint8(ord("0"))) < 10
     newline = b == ord("\n")
     plain = (np.count_nonzero(digit) + np.count_nonzero(newline)
              + np.count_nonzero(b == ord(" ")) + np.count_nonzero(b == ord("\t")))
     if plain != len(b):
         return None
-    edge = np.empty(len(b) + 1, dtype=bool)
-    edge[0], edge[-1] = digit[0], digit[-1]
-    np.not_equal(digit[1:], digit[:-1], out=edge[1:-1])
-    del digit
-    bounds = np.flatnonzero(edge)
-    del edge
-    starts, stops = bounds[::2], bounds[1::2]
-    if len(starts) and int((stops - starts).max()) > _MAX_DIGITS:
-        return None
-    # tokens before each newline, so the token count of every line
-    before = np.searchsorted(starts, np.flatnonzero(newline))
-    widths = np.diff(before, prepend=0, append=len(starts))
-    del b, newline, bounds, starts, stops, before
+    start = np.empty(len(b), dtype=bool)
+    start[0] = digit[0]
+    np.greater(digit[1:], digit[:-1], out=start[1:])
+    tokens = np.count_nonzero(start)
+    # digit's buffer now marks the line heads, the first byte and each byte
+    # after a newline; a line runs through its newline, so none is empty
+    head = digit
+    head[0] = True
+    head[1:] = newline[:-1]
+    del b, digit, newline
+    # counted in uint8, so a line of 256 or more tokens wraps and the widths
+    # no longer add up to the token count
+    widths = np.add.reduceat(start.view(np.uint8), np.flatnonzero(head), dtype=np.uint8)
+    del start, head
     widths = widths[widths > 0]
-    if not len(widths) or widths[0] != 2:
+    if not len(widths) or widths[0] != 2 or int(widths.sum(dtype=np.int64)) != tokens:
         return None
     if not bool(((widths[1:] == 2) | (widths[1:] == 3)).all()):
         return None
-    values = np.fromstring(raw, dtype=np.int64, sep=" ")
-    del raw
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
     # fromstring stops without an error at data it cannot read
-    if len(values) != int(widths.sum()):
+    if len(values) != tokens or int(values.max()) == _INT64_MAX:
         return None
     n, m = values[:2].tolist()
     if m != len(widths) - 1:
@@ -655,8 +700,8 @@ def _gather_edges(values: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, n
     """u, v, mult from the concatenated edge-line values and each line's width (2 or 3)."""
     if bool((widths == 2).all()):
         u, v = values.reshape(-1, 2).T
-        return u, v, np.ones(len(u), dtype=np.int64)
-    starts = np.cumsum(widths) - widths
+        return u, v, _unit(len(u))
+    starts = np.cumsum(widths, dtype=np.int64) - widths
     u, v = values[starts], values[starts + 1]
     mult = np.where(widths == 3, values[np.minimum(starts + 2, len(values) - 1)], 1)
     return u, v, mult
@@ -674,61 +719,80 @@ _SPACE, _NEWLINE, _FIRST = (np.array([c, 0, 0, 0], dtype=np.uint8).view(np.uint3
                             for c in (ord(" "), ord("\n"), 1))
 
 
-def _edge_list_bytes(G: MultiGraph) -> bytes:
-    """The edge-list file of G as ASCII bytes, assembled by numpy passes.
+# edge lines assembled per chunk of the written file
+_WRITE_LINES = 1 << 16
+
+
+def _edge_list_chunks(G: MultiGraph) -> Iterator[bytes | np.ndarray]:
+    """The edge-list file of G as ASCII pieces: the header, then the lines
+    of _WRITE_LINES pairs at a time, each assembled by numpy passes.
 
     Each line is a row of uint32 words: every token takes as many 4-digit
     chunks as the column's largest value needs, right-aligned, then one
     separator word.  A digit-count mask keeps a token's printed digits and
     each separator's first byte; one boolean compress of the rows, read as
-    bytes, is the body.  Lines with multiplicity 1 end after v.
+    bytes, is a piece.  Lines with multiplicity 1 end after v.
     """
-    simple = G.mult == 1
-    columns = [G.u, G.v] if simple.all() else [G.u, G.v, G.mult]
+    yield f"{G.n} {len(G.u)}\n".encode("ascii")
+    columns = [G.u, G.v] if G.is_simple else [G.u, G.v, G.mult]
     words = [(len(str(int(col.max(initial=0)))) + 3) // 4 for col in columns]
-    rows = np.zeros((len(G.u), sum(words) + len(columns)), dtype=np.uint32)
-    keep = np.zeros(rows.shape, dtype=np.uint32)
-    at = 0
-    for col, k in zip(columns, words):
-        head = col
-        for j in range(k - 1, 0, -1):
-            head, low = np.divmod(head, _CHUNK)
-            rows[:, at + j] = _CHUNK_TEXT[low]
-        rows[:, at] = _CHUNK_TEXT[head]
-        digits = np.searchsorted(_POWERS, col, side="right") + 1
-        width = 4 * k
-        # row d of the table prints the last d of the 4k digit bytes
-        masks = (np.arange(width) >= width - np.arange(width + 1)[:, None]).view(np.uint32)
-        keep[:, at:at + k] = masks[digits]
-        rows[:, at + k], keep[:, at + k] = _SPACE, _FIRST
-        at += k + 1
-    rows[:, -1] = _NEWLINE
-    if len(columns) == 3:
-        v_end = words[0] + words[1] + 1
-        rows[simple, v_end] = _NEWLINE
-        keep[simple, v_end + 1:] = 0
-    body = rows.view(np.uint8)[keep.view(bool)]
-    return f"{G.n} {len(G.u)}\n".encode("ascii") + body.tobytes()
+    # row d of a column's table prints the last d of its 4k digit bytes
+    masks = [(np.arange(4 * k) >= 4 * k - np.arange(4 * k + 1)[:, None]).view(np.uint32) for k in words]
+    for lo in range(0, len(G.u), _WRITE_LINES):
+        part = [col[lo:lo + _WRITE_LINES] for col in columns]
+        rows = np.zeros((len(part[0]), sum(words) + len(columns)), dtype=np.uint32)
+        keep = np.zeros(rows.shape, dtype=np.uint32)
+        at = 0
+        for col, k, mask in zip(part, words, masks):
+            head = col
+            for j in range(k - 1, 0, -1):
+                head, low = np.divmod(head, _CHUNK)
+                rows[:, at + j] = _CHUNK_TEXT[low]
+            rows[:, at] = _CHUNK_TEXT[head]
+            keep[:, at:at + k] = mask[np.searchsorted(_POWERS, col, side="right") + 1]
+            rows[:, at + k], keep[:, at + k] = _SPACE, _FIRST
+            at += k + 1
+        rows[:, -1] = _NEWLINE
+        if len(columns) == 3:
+            simple = part[2] == 1
+            v_end = words[0] + words[1] + 1
+            rows[simple, v_end] = _NEWLINE
+            keep[simple, v_end + 1:] = 0
+        yield rows.view(np.uint8)[keep.view(bool)]
 
 
 def read_edge_list(path) -> MultiGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return MultiGraph.from_edge_list_text(fh.read())
+    """The graph of an edge-list file (see `MultiGraph.from_edge_list_text`).
+
+    The file is read as bytes, with "\\r\\n" and "\\r" turned into "\\n" as a
+    text-mode read would, so files with either line end take the byte
+    reader.  The bytes are dropped before the graph is built.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    parsed = _parse_edge_list(data)
+    del data
+    return MultiGraph.from_arrays(*parsed)
 
 
 def write_edge_list(G: MultiGraph, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(_edge_list_bytes(G))
+        for piece in _edge_list_chunks(G):
+            fh.write(piece)
 
 
 def complete_graph(n: int) -> MultiGraph:
-    iu, ju = np.triu_indices(max(int(n), 0), k=1)
+    iu, ju = np.triu_indices(vertex_count(n), k=1)
     return MultiGraph.from_arrays(n, iu, ju)
 
 
 def cycle_graph(n: int) -> MultiGraph:
+    n = vertex_count(n)
     return MultiGraph.build(n, [(i, (i + 1) % n, 1) for i in range(n)])
 
 
 def path_graph(n: int) -> MultiGraph:
+    n = vertex_count(n)
     return MultiGraph.build(n, [(i, i + 1, 1) for i in range(n - 1)])

@@ -17,8 +17,8 @@ from ustlocal.errors import (
     VertexOutOfRange,
 )
 from ustlocal.freq import freq_graph_component, freq_minus
-from ustlocal.graphon import constant_graphon
-from ustlocal.multigraph import MultiGraph, complete_graph, path_graph
+from ustlocal.graphon import constant_graphon, sample_w_random_graph
+from ustlocal.multigraph import MAX_VERTICES, MultiGraph, complete_graph, cycle_graph, path_graph
 from ustlocal.rng import stream
 from ustlocal.trees import RootedTree, ball, local_census
 from ustlocal.ust import SpanningTree, conditional_sample, wilson_sample
@@ -178,3 +178,30 @@ def test_ball_rejects_non_integer_vertex(v):
 def test_census_and_ball_take_numpy_integers():
     assert local_census(PATH3, np.int64(2)) == local_census(PATH3, 2)
     assert ball(PATH3, np.int32(1), np.uint8(1)).canonical_code() == ball(PATH3, 1, 1).canonical_code()
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, False, "3", None, -1, MAX_VERTICES + 1])
+def test_vertex_counts_reject_non_integers(n):
+    # from_arrays(2.5, ...) and build(2.7, ...) ran with n = 2, True with n = 1,
+    # complete_graph(3.9) gave K3, and the path, cycle and sampler escaped as a
+    # raw TypeError
+    with pytest.raises(VertexOutOfRange):
+        MultiGraph.from_arrays(n, [], [])
+    with pytest.raises(VertexOutOfRange):
+        MultiGraph.build(n, [])
+    for make in (complete_graph, path_graph, cycle_graph):
+        with pytest.raises(VertexOutOfRange):
+            make(n)
+    with pytest.raises(VertexOutOfRange):
+        sample_w_random_graph(constant_graphon(0.5), n, seed=1)
+
+
+def test_vertex_counts_take_numpy_integers():
+    assert MultiGraph.from_arrays(np.int32(3), [0], [2]).n == 3
+    assert MultiGraph.build(np.uint8(2), [(0, 1)]).n == 2
+    assert list(complete_graph(np.int64(4)).edges()) == list(complete_graph(4).edges())
+    assert list(path_graph(np.uint16(3)).edges()) == [(0, 1, 1), (1, 2, 1)]
+    assert list(cycle_graph(np.int8(3)).edges()) == list(cycle_graph(3).edges())
+    G, labels = sample_w_random_graph(constant_graphon(0.5), np.int64(9), seed=4)
+    H, want = sample_w_random_graph(constant_graphon(0.5), 9, seed=4)
+    assert G.n == 9 and list(G.edges()) == list(H.edges()) and labels.tolist() == want.tolist()

@@ -524,3 +524,12 @@ def test_import_loads_no_sparse_graph_code():
         res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]", (module, res.stdout)
+
+
+def test_non_ascii_graph_file_is_config_error(workdir):
+    # graph files are read as bytes; bytes that are not ASCII still exit 2
+    bad = workdir / "nbsp.txt"
+    bad.write_bytes("2 1\n0 1\n".encode("utf-8"))
+    res = run_cli("count-trees", "--graph", str(bad))
+    assert res.returncode == 2
+    assert json.loads(res.stderr)["error"] == "ConfigParse"

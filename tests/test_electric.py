@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from ustlocal import electric
 from ustlocal.electric import (
     LaplacianSystem,
     edge_ust_probability,
@@ -24,6 +26,7 @@ from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, path_gr
 from ustlocal.ust import enumerate_spanning_trees
 
 from conftest import random_connected_graph
+from electric_oracle import dense_grounded_minor
 
 
 def test_series_path():
@@ -182,3 +185,14 @@ def test_laplacian_resistance_vertex_range(u, v):
 def test_laplacian_ground_vertex_range(ground):
     with pytest.raises(VertexOutOfRange):
         LaplacianSystem(path_graph(4), ground=ground)
+
+
+@pytest.mark.parametrize("max_mult", [1, 4])
+def test_minor_does_not_depend_on_the_chunk(monkeypatch, rng, max_mult):
+    G = random_connected_graph(rng, 25, 0.4, max_mult=max_mult)
+    for ground in (0, 11, 24):
+        want = dense_grounded_minor(G, ground)
+        for edges in (1, 7, electric._MINOR_EDGES):
+            monkeypatch.setattr(electric, "_MINOR_EDGES", edges)
+            got = electric._grounded_minor(G, ground)
+            assert got.dtype == np.float64 and np.array_equal(got, want)

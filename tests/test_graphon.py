@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ustlocal import graphon
 from ustlocal.errors import (
     AsymmetricKernel,
     EntryOutOfRange,
@@ -18,6 +19,7 @@ from ustlocal.graphon import (
     sample_w_random_graph,
     validate,
 )
+from ustlocal.rng import stream
 
 
 def random_graphon(rng, k):
@@ -207,3 +209,36 @@ def test_json_roundtrip(rng):
 def test_w_random_graph_negative_size():
     with pytest.raises(VertexOutOfRange):
         sample_w_random_graph(constant_graphon(0.5), -3, seed=1)
+
+
+def w_random_graph_oracle(g, n, rng):
+    """The one-call draw: labels, then one uniform for every pair u < v at once, in row-major order."""
+    labels = np.minimum(np.searchsorted(np.cumsum(g.mu), rng.random(n), side="right"), g.k - 1)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < g.W[labels[iu], labels[ju]]
+    return iu[keep], ju[keep], labels
+
+
+W_TWO = StepGraphon(np.array([0.3, 0.7]), np.array([[0.9, 0.5], [0.5, 0.1]]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 37, 400])
+def test_sampler_does_not_depend_on_the_block(monkeypatch, n):
+    # blocks of whole rows drawn in order must give the one-call graph and
+    # leave the stream at the same place; block 7 takes several short rows
+    # at once near the end, and the default splits n = 400 in two
+    seed = 31
+    rng = stream(seed)
+    u, v, labels = w_random_graph_oracle(W_TWO, n, rng)
+    want_next = rng.random(4)
+    for pairs in (1, 7, graphon._PAIR_BLOCK):
+        monkeypatch.setattr(graphon, "_PAIR_BLOCK", pairs)
+        drawn = []
+        monkeypatch.setattr(graphon, "stream", lambda s: drawn.append(stream(s)) or drawn[-1])
+        G, got = sample_w_random_graph(W_TWO, n, seed)
+        assert G.n == n and G.u.dtype == G.v.dtype == np.int64
+        np.testing.assert_array_equal(G.u, u)
+        np.testing.assert_array_equal(G.v, v)
+        np.testing.assert_array_equal(G.mult, np.ones(len(u)))
+        np.testing.assert_array_equal(got, labels)
+        np.testing.assert_array_equal(drawn[0].random(4), want_next)

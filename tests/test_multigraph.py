@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ustlocal import multigraph
 from ustlocal.errors import (
     EdgeNotInGraph,
     LoopEdge,
@@ -10,6 +13,7 @@ from ustlocal.errors import (
     VertexOutOfRange,
     ZeroMultiplicity,
 )
+from ustlocal.graphon import StepGraphon, sample_w_random_graph
 from ustlocal.multigraph import (
     MAX_MULTIPLICITY,
     MAX_TOTAL_MULTIPLICITY,
@@ -25,6 +29,7 @@ from ustlocal.multigraph import (
 )
 
 from conftest import random_connected_graph
+from multigraph_oracle import percent_format_edge_list_text
 
 
 def test_build_triangle():
@@ -385,3 +390,135 @@ def test_forest_roots_stops_at_first_cycle():
     assert joined == 2  # (3, 2) repeats the first pair
     assert roots == [0, 0, 0, 0]  # every pair is joined, (1, 2) after the cycle too
     assert forest_roots(3, [(0, 0)])[1] == 0  # a loop closes a cycle at once
+
+
+def test_parser_takes_long_zero_padded_tokens():
+    # no digit count sends a token to the line reader, only a value that leaves int64
+    text = "3 2\n0000000000000000000000001 2\n0 0000000000000000000000000000002 3\n"
+    fast = _parse_edge_list_bytes(text)
+    assert fast is not None and fast[0] == 3
+    assert [a.tolist() for a in fast[1:]] == [[1, 0], [2, 2], [1, 3]]
+    assert list(MultiGraph.from_edge_list_text(text).edges()) == [(0, 2, 3), (1, 2, 1)]
+
+
+@pytest.mark.parametrize("text,outcome", [
+    ("2 1\n0 1 9223372036854775807\n", [(0, 1, MAX_MULTIPLICITY)]),  # INT64_MAX, where overflow clamps
+    ("2 1\n0 9223372036854775807\n", VertexOutOfRange),  # an endpoint outside 0..1
+    ("2 1\n0 9999999999999999999\n", VertexOutOfRange),  # 19 digits, above 2**63
+    ("9223372036854775808 1\n0 1\n", VertexOutOfRange),
+])
+def test_parser_sends_int64_max_to_the_line_reader(text, outcome):
+    assert _parse_edge_list_bytes(text) is None
+    for data in (text, text.encode("ascii")):
+        if isinstance(outcome, list):
+            assert list(MultiGraph.from_edge_list_text(data).edges()) == outcome
+        else:
+            with pytest.raises(outcome):
+                MultiGraph.from_edge_list_text(data)
+
+
+@pytest.mark.parametrize("tokens", [256, 258, 259])
+def test_parser_refuses_lines_past_the_narrow_width(tokens):
+    # line widths are counted in uint8: 258 tokens wrap to a width of 2
+    text = "2 1\n" + "0 1 " * (tokens // 2) + "1 " * (tokens % 2) + "\n"
+    assert _parse_edge_list_bytes(text) is None
+    with pytest.raises(VertexOutOfRange, match="bad edge line"):
+        MultiGraph.from_edge_list_text(text)
+
+
+def _parse_outcome(parse, text):
+    try:
+        G = parse(text)
+    except Exception as exc:  # noqa: BLE001 - every error must match, typed or not
+        return type(exc), str(exc)
+    return G.n, list(G.edges())
+
+
+@pytest.mark.parametrize("text", [
+    "4 3\n0 1\n1 2 2\n\n2 3\n", "4 3\r\n0 1\r\n1 2 2\r\n2 3", "3 1\n0 1 0\n", "2 1\n0 x\n",
+    "3 2\n0 1\n", "", "\n\t \n", "2 1\n0 +1\n",
+])
+def test_bytes_parse_like_text(text):
+    data = text.encode("ascii")
+    assert _parse_outcome(MultiGraph.from_edge_list_text, data) == \
+        _parse_outcome(MultiGraph.from_edge_list_text, text)
+    fast_str, fast_bytes = _parse_edge_list_bytes(text), _parse_edge_list_bytes(data)
+    assert (fast_str is None) == (fast_bytes is None)
+    if fast_str is not None:
+        assert fast_str[0] == fast_bytes[0]
+        for a, b in zip(fast_str[1:], fast_bytes[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_files_with_carriage_returns_take_the_byte_reader(monkeypatch, tmp_path, end):
+    # read as bytes, the line ends are translated as a text-mode read did
+    (tmp_path / "g.txt").write_bytes("4 3\n0 1\n1 2 2\n\n2 3\n".replace("\n", end).encode("ascii"))
+    monkeypatch.setattr(multigraph, "_parse_edge_list_lines", lambda text: pytest.fail("line reader"))
+    G = read_edge_list(tmp_path / "g.txt")
+    assert (G.n, list(G.edges())) == (4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
+
+
+def test_non_ascii_bytes_raise_decode_error(tmp_path):
+    (tmp_path / "g.txt").write_bytes("2 1\n0\u00a01\n".encode("utf-8"))
+    with pytest.raises(UnicodeDecodeError):
+        read_edge_list(tmp_path / "g.txt")
+
+
+@pytest.mark.parametrize("max_mult", [1, 3])
+def test_written_bytes_do_not_depend_on_the_chunk(monkeypatch, tmp_path, rng, max_mult):
+    G = random_connected_graph(rng, 30, 0.4, max_mult=max_mult)
+    want = percent_format_edge_list_text(G).encode("ascii")
+    for lines in (1, 7, multigraph._WRITE_LINES):
+        monkeypatch.setattr(multigraph, "_WRITE_LINES", lines)
+        write_edge_list(G, tmp_path / "g.txt")
+        assert (tmp_path / "g.txt").read_bytes() == want
+        assert G.to_edge_list_text().encode("ascii") == want
+
+
+def test_simple_graphs_share_the_csr_as_step_table():
+    G = complete_graph(5)
+    indptr, indices, weights = G.csr()
+    nb, base, deg = G.step_table()
+    assert nb is indices and np.shares_memory(base, indptr)
+    assert weights.strides == (0,) and G.mult.strides == (0,)
+    H = MultiGraph.build(3, [(0, 1, 2), (1, 2)])
+    assert H.step_table()[0].tolist() == [1, 1, 0, 0, 2, 1]
+
+
+# the ust_local_limit graphon at n = 600: 86 661 edges
+MEMORY_GRAPHON = StepGraphon(np.array([0.5, 0.5]), np.array([[0.9, 0.5], [0.5, 0.1]]))
+
+
+@pytest.fixture(scope="module")
+def memory_graph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "g.txt"
+    G, _labels = sample_w_random_graph(MEMORY_GRAPHON, 600, seed=5)
+    write_edge_list(G, path)
+    return G, path
+
+
+def _peak_per_edge(call, edges):
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / edges
+
+
+# measured bytes per edge (whole-graph arrays at the parent): sampler 38.6
+# (112.5), writer 33.9 (64.0), reader 31.9 (83.9), step table 34.2 (80.1);
+# each bound is about 1.4 times the measured value
+@pytest.mark.parametrize("layer,bound", [("sample", 55.0), ("write", 48.0), ("read", 45.0), ("step_table", 48.0)])
+def test_graph_layer_memory_per_edge(memory_graph, tmp_path, layer, bound):
+    G, path = memory_graph
+    H = read_edge_list(path)
+    call = {
+        "sample": lambda: sample_w_random_graph(MEMORY_GRAPHON, 600, seed=5),
+        "write": lambda: write_edge_list(G, tmp_path / "g.txt"),
+        "read": lambda: read_edge_list(path),
+        "step_table": H.step_table,
+    }[layer]
+    assert _peak_per_edge(call, len(G.u)) <= bound
