@@ -56,7 +56,6 @@ from .ust import (
     SpanningTree,
     aldous_broder_sample,
     conditional_sample,
-    enumerate_spanning_trees,
     wilson_sample,
 )
 from .walk import (

@@ -28,6 +28,7 @@ from .errors import (
     ParameterOutOfRange,
     PartIndexOutOfRange,
     PartitionMismatch,
+    is_integer,
     malformed_json,
 )
 from .multigraph import EXACT_EXPANDER_LIMIT, MultiGraph
@@ -97,7 +98,15 @@ class ExpanderDecomposition:
     verification: VerificationReport | None = None
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        # a cast would read 1.5 or True as 1, and a negative label has no part
+        raw = self.labels
+        if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iu"):
+            raw = raw.ravel().tolist() if isinstance(raw, np.ndarray) else list(raw)
+            if not all(is_integer(x) and 0 <= x < 2**63 for x in raw):
+                raise PartitionMismatch("decomposition labels must be integer part indices >= 0")
+        self.labels = np.asarray(raw).astype(np.int64)
+        if (self.labels < 0).any():
+            raise PartitionMismatch("decomposition labels must be integer part indices >= 0")
 
     @property
     def n(self) -> int:

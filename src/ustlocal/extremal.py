@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDegree, NumericError
-from .multigraph import MultiGraph
+from .errors import InvalidDegree, NumericError, is_integer
+from .multigraph import MultiGraph, vertex_count
 from .rng import stream
 
 _GOLDEN_ITERS = 200  # golden-section steps; the bracket shrinks by 0.618 each
@@ -27,10 +27,15 @@ class DegreeBound:
     value: float
 
 
+def _check_degree(k, least: int) -> None:
+    """Refuse a degree that is not an integer >= least (2.5, True, "4") with InvalidDegree."""
+    if not is_integer(k) or k < least:
+        raise InvalidDegree(f"degree {k!r} is not an integer >= {least}")
+
+
 def degree_density_bound(k: int) -> DegreeBound:
     """Asymptotic bounds on the density of degree-k vertices in the UST."""
-    if k < 1:
-        raise InvalidDegree(f"degree {k} < 1")
+    _check_degree(k, 1)
     if k == 1:
         return DegreeBound(1, "lower", math.exp(-1.0))
     if k == 2:
@@ -77,8 +82,7 @@ def optimize_lemma_max(k: int, tol: float = 1e-9) -> float:
     k = 14), raises NumericError.  From k = 130 the envelope's y^k leaves the
     float range, which raises NumericError too.
     """
-    if k < 2:
-        raise InvalidDegree(f"k = {k} < 2")
+    _check_degree(k, 2)
     try:
         value = _golden_max(k, 0.0, max(3.0 * k, 6.0))
     except OverflowError as exc:
@@ -92,8 +96,7 @@ def optimize_lemma_max(k: int, tol: float = 1e-9) -> float:
 
 
 def closed_form_max(k: int) -> float:
-    if k < 2:
-        raise InvalidDegree(f"k = {k} < 2")
+    _check_degree(k, 2)
     try:
         return ((k - 1) / math.e) ** (k - 1)
     except OverflowError as exc:
@@ -107,8 +110,8 @@ def sharpness_graph(n: int, k: int, alpha: float, seed: int) -> MultiGraph:
     extremal upper bound as alpha -> 0.  With alpha = 0 the graph is
     disconnected and the UST is undefined.
     """
-    if k < 4:
-        raise InvalidDegree(f"construction needs k >= 4, got {k}")
+    n = vertex_count(n)
+    _check_degree(k, 4)
     m = round(n / (k - 2))
     rng = stream(seed)
     edges = [(i, j, 1) for i in range(m) for j in range(i + 1, m)]

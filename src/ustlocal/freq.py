@@ -36,7 +36,13 @@ from typing import Iterable
 import numpy as np
 
 from .decompose import ExpanderDecomposition, big_parts, good_vertices
-from .errors import ParameterOutOfRange, PartIndexOutOfRange, PartitionMismatch, PatternTooLarge
+from .errors import (
+    MalformedEdge,
+    ParameterOutOfRange,
+    PartIndexOutOfRange,
+    PartitionMismatch,
+    PatternTooLarge,
+)
 from .graphon import StepGraphon
 from .multigraph import MultiGraph
 from .trees import RootedTree
@@ -417,17 +423,22 @@ def freq_minus(
 ) -> FreqReport:
     """Tuples avoid V0 and use no pattern edge from E0; whole-graph degrees and b.
 
-    Vertices in V0 and the endpoints of E0 must be integers in 0..n-1.
+    Vertices in V0 and the endpoints of E0 must be integers in 0..n-1; an
+    E0 entry that is not a (u, v) or (u, v, count) entry raises MalformedEdge.
     """
     ell, p, edges, stab = _pattern(T)
     allowed = ~G._check_vertex_set(V0)
-    E0 = [(entry[0], entry[1]) for entry in E0]
-    G._check_vertex_set(itertools.chain.from_iterable(E0))
+    pairs = []
+    for entry in E0:
+        if len(entry) not in (2, 3):
+            raise MalformedEdge(f"edge entry {tuple(entry)!r} is not (u, v) or (u, v, count)")
+        pairs.append((entry[0], entry[1]))
+    G._check_vertex_set(itertools.chain.from_iterable(pairs))
     deg = G.degrees
     if (deg[allowed] == 0).any():
         raise ParameterOutOfRange("vertices outside V0 must have positive degree")
     presence = (G.adjacency_matrix() > 0).astype(np.float64)
-    for (u, v) in E0:
+    for (u, v) in pairs:
         presence[u, v] = 0.0
         presence[v, u] = 0.0
     expb = np.exp(-_b_vector(G, np.zeros(G.n, dtype=np.int64)))

@@ -17,7 +17,9 @@ from .errors import (
     DegenerateGraphon,
     EntryOutOfRange,
     MeasuresDontSumToOne,
+    ParameterOutOfRange,
     TooManyBlocks,
+    is_integer,
     malformed_json,
 )
 from .multigraph import MultiGraph, vertex_count
@@ -187,7 +189,12 @@ class DegreeProfileReport:
 
 
 def degree_profile_compare(G: MultiGraph, g: StepGraphon, bins: int = 20) -> DegreeProfileReport:
-    """Histogram deg(v)/n against the graphon's degree point masses (a diagnostic)."""
+    """Histogram deg(v)/n against the graphon's degree point masses (a diagnostic).
+
+    `bins` must be an integer >= 1; anything else raises ParameterOutOfRange.
+    """
+    if not is_integer(bins) or bins < 1:
+        raise ParameterOutOfRange(f"bins {bins!r} is not an integer >= 1")
     edges = np.linspace(0.0, 1.0, bins + 1)
     scaled = G.degrees / max(G.n, 1)
     graph_hist, _ = np.histogram(np.clip(scaled, 0.0, 1.0), bins=edges)

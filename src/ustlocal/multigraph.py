@@ -78,39 +78,46 @@ def _edge_multiset(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1], np.array(list(out.values()), dtype=np.int64)
 
 
-def forest_roots(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """Union-find on 0..n-1 that joins every pair, in order.
+_HOOK_EDGES = 2**16  # edges hooked per chunk of `forest_roots`
 
-    Returns each vertex's root, the smallest vertex of its tree, and the
-    index of the first pair whose endpoints were already joined, or the
-    number of pairs when none was.  Meant for small edge sets such as a
-    tree's n - 1 edges or an include set; `component_labels` serves whole
-    graphs.
+
+def forest_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each vertex's root, the smallest vertex of its connected component,
+    in the graph on 0..n-1 with the edges (u[i], v[i]), as int64.
+
+    The one connectivity routine, for whole graphs and edge sets alike:
+    array union-find in the manner of Shiloach and Vishkin (J. Algorithms 3,
+    1982).  `lab[x]` is a vertex of x's component no larger than x.  A pass
+    takes the edges in chunks of _HOOK_EDGES: each edge whose ends carry
+    different labels hooks the larger label onto the smaller
+    (`np.minimum.at`), then one `lab = lab[lab]` shortcuts the chunk's
+    hooks, so later chunks read shallower labels.  That gather costs n, so
+    it is skipped when n exceeds the chunk (a sparse graph), where it would
+    cost more than the chunk itself.  At the end of a pass pointer jumping
+    runs to a fixpoint, so every label is a root.  A pass that finds no
+    edge with two labels leaves the roots final; each earlier pass lowers
+    at least one label, so the passes end.  Memory beyond `lab` is a few
+    chunk-sized arrays.
     """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    first_cycle = -1
-    count = 0
-    for (u, v) in pairs:
-        ru, rv = find(u), find(v)
-        if ru < rv:
-            parent[rv] = ru
-        elif rv < ru:
-            parent[ru] = rv
-        elif first_cycle < 0:
-            first_cycle = count
-        count += 1
-    # every parent is at most its child, so one pass in vertex order reads
-    # each parent's finished root
-    for x in range(n):
-        parent[x] = parent[parent[x]]
-    return parent, (count if first_cycle < 0 else first_cycle)
+    lab = np.arange(n, dtype=np.int64)
+    step = _HOOK_EDGES
+    hooked = True
+    while hooked:
+        hooked = False
+        for s in range(0, len(u), step):
+            a, b = lab[u[s:s + step]], lab[v[s:s + step]]
+            differ = a != b
+            if differ.any():
+                a, b = a[differ], b[differ]
+                np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+                if n <= step:
+                    lab = lab[lab]
+                hooked = True
+        if hooked:
+            up = lab[lab]
+            while (up != lab).any():
+                lab, up = up, up[up]
+    return lab
 
 
 def _unit(m: int) -> np.ndarray:
@@ -430,9 +437,8 @@ class MultiGraph:
         if len(missing):
             i = int(missing[0])
             raise EdgeNotInGraph(f"edge {(int(a[i]), int(b[i]))} not in graph")
-        roots, _first_cycle = forest_roots(self.n, zip(a.tolist(), b.tolist()))
         # roots are smallest vertices, so their ranks number the new vertices
-        new_vertices, vmap = np.unique(np.array(roots, dtype=np.int64), return_inverse=True)
+        new_vertices, vmap = np.unique(forest_roots(self.n, a, b), return_inverse=True)
         cu, cv = vmap[self.u], vmap[self.v]
         keep = cu != cv
         return MultiGraph.from_arrays(len(new_vertices), cu[keep], cv[keep], self.mult[keep]), vmap
@@ -469,28 +475,12 @@ class MultiGraph:
     def component_labels(self) -> np.ndarray:
         """Each vertex's connected component, numbered by smallest vertex.
 
-        scipy's weakly connected components of the stored pairs as directed
-        edges u -> v: u is sorted, so the CSR of that half is `v` itself
-        with one bincount for its row pointers, and the pairs are not
-        mirrored here.  scipy still transposes that half (`csr_tocsc`) on
-        every call, to walk the edges both ways.
+        The ranks of the `forest_roots` of the stored pairs: each root is
+        its component's smallest vertex, so sorted roots number the
+        components in that order.
         """
         if self._components is None:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import connected_components
-
-            n = self.n
-            if n == 0:
-                self._components = np.zeros(0, dtype=np.int64)
-                return self._components
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.u, minlength=n), out=indptr[1:])
-            half = csr_matrix((np.ones(len(self.v)), self.v, indptr), shape=(n, n))
-            _count, raw = connected_components(half, directed=True, connection="weak")
-            _uniq, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-            rank = np.empty(len(first), dtype=np.int64)
-            rank[np.argsort(first, kind="stable")] = np.arange(len(first))
-            self._components = rank[inverse.ravel()]
+            _roots, self._components = np.unique(forest_roots(self.n, self.u, self.v), return_inverse=True)
         return self._components
 
     def is_connected(self) -> bool:

@@ -1,4 +1,4 @@
-"""Exact-uniform spanning tree sampling and an exhaustive enumeration oracle.
+"""Exact-uniform spanning tree sampling.
 
 Sampling is Wilson's loop-erased-random-walk algorithm rooted at vertex 0
 (uniformity is root-independent; fixing the root aids reproducibility).
@@ -10,26 +10,29 @@ moves to nb[base[x] + floor(u deg(x))], that is to y with probability
 mult(x, y) / deg(x).  The step is inlined in each sampler's loop, over a
 memoryview of `nb`.  The walk's parent pointers are the tree: a sampler
 returns them with one copy index per vertex (`SpanningTree.from_parents`).
+Edge-built trees and include sets are checked by the one connectivity
+routine, `multigraph.forest_roots`.  The exhaustive deletion-contraction
+enumerator is a test oracle (`tests/ust_oracle.py`), not part of the
+library.
 """
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .electric import log_spanning_tree_count
 from .errors import (
     ConditioningDisconnects,
     EdgeNotInGraph,
     GraphDisconnected,
     IncludeHasCycle,
+    MalformedEdge,
     PreconditionError,
-    TooManyTrees,
     VertexOutOfRange,
     ZeroMultiplicity,
+    is_integer,
 )
-from .multigraph import MultiGraph, _edge_multiset, _normalize_pair, forest_roots
+from .multigraph import MultiGraph, _edge_multiset, _normalize_pair, forest_roots, vertex_count
 from .rng import stream, uniform_blocks
 
 
@@ -45,20 +48,23 @@ class SpanningTree:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
-        self.n = int(n)
+        self.n = vertex_count(n)
         norm = []
-        for (u, v, c) in edges:
-            a, b = _normalize_pair(int(u), int(v))
+        for entry in edges:
+            if len(entry) != 3 or not all(is_integer(x) for x in entry):
+                raise MalformedEdge(f"tree edge {tuple(entry)!r} is not (u, v, copy) in integers")
+            a, b = _normalize_pair(int(entry[0]), int(entry[1]))
             if a < 0 or b >= self.n:
                 raise VertexOutOfRange(f"tree edge ({a},{b}) outside 0..{self.n - 1}")
-            norm.append((a, b, int(c)))
+            norm.append((a, b, int(entry[2])))
         self._edges: tuple[tuple[int, int, int], ...] | None = tuple(sorted(norm))
         if len(self._edges) != self.n - 1:
             raise PreconditionError(
                 f"{len(self._edges)} edges cannot span {self.n} vertices"
             )
-        _roots, first_cycle = forest_roots(self.n, ((u, v) for (u, v, _c) in self._edges))
-        if first_cycle < len(self._edges):
+        # n - 1 edges form a tree exactly when they leave one root, vertex 0
+        ends = np.array([(a, b) for (a, b, _c) in self._edges], dtype=np.int64).reshape(-1, 2)
+        if forest_roots(self.n, ends[:, 0], ends[:, 1]).any():
             raise PreconditionError("edge set contains a cycle")
         self._parent: np.ndarray | None = None
         self._copies: np.ndarray | None = None
@@ -70,19 +76,25 @@ class SpanningTree:
         """The tree joining each vertex v != root to parent[v] by copy copies[v].
 
         parent[root] is root.  Refused as the edge-list constructor refuses
-        an edge set: a root or parent outside 0..n-1 raises VertexOutOfRange;
-        arrays that are not n long, a root that is not its own parent, and
-        a vertex that never reaches the root (on a cycle, or its own parent)
-        raise PreconditionError.  The last is checked by pointer doubling:
-        after k rounds every vertex points 2^k steps up.
+        an edge set: a vertex count, root or parent that is not an integer
+        in range raises VertexOutOfRange, a copy index that is not an
+        integer MalformedEdge; arrays that are not n long, a root
+        that is not its own parent, and a vertex that never reaches the root
+        (on a cycle, or its own parent) raise PreconditionError.  The last is
+        checked by pointer doubling: after k rounds every vertex points 2^k
+        steps up.
         """
-        n = int(n)
-        parent = np.asarray(parent, dtype=np.int64)
-        copies = np.asarray(copies, dtype=np.int64)
+        n = vertex_count(n)
+        parent, copies = np.asarray(parent), np.asarray(copies)
         if len(parent) != n or len(copies) != n:
             raise PreconditionError(f"{len(parent)} parents and {len(copies)} copies for {n} vertices")
-        if not 0 <= root < n:
-            raise VertexOutOfRange(f"root {root} outside 0..{n - 1}")
+        _check_root(root, n)
+        # a cast would read a parent of 1.5 as 1
+        if parent.dtype.kind not in "iu":
+            raise VertexOutOfRange(f"parents of dtype {parent.dtype} are not integers")
+        if copies.dtype.kind not in "iu":
+            raise MalformedEdge(f"copies of dtype {copies.dtype} are not integers")
+        parent, copies = parent.astype(np.int64, copy=False), copies.astype(np.int64, copy=False)
         outside = (parent < 0) | (parent >= n)
         if outside.any():
             v = int(np.argmax(outside))
@@ -173,10 +185,15 @@ def _copies(G: MultiGraph, parent: np.ndarray, rng, order=None) -> np.ndarray:
     return copies
 
 
+def _check_root(root, n: int) -> None:
+    """Refuse a root that is not an integer in 0..n-1 (1.5, True, "1") with VertexOutOfRange."""
+    if not is_integer(root) or not 0 <= root < n:
+        raise VertexOutOfRange(f"root {root!r} is not an integer in 0..{n - 1}")
+
+
 def _walk_table(G: MultiGraph, root: int):
     """The step table of a connected G, as (nb, base, deg) for a Python loop."""
-    if not (0 <= root < G.n):
-        raise VertexOutOfRange(f"root {root} outside 0..{G.n - 1}")
+    _check_root(root, G.n)
     if not G.is_connected():
         raise GraphDisconnected("no spanning tree in a disconnected graph")
     nb, base, deg = G.step_table()
@@ -288,9 +305,19 @@ def conditional_sample(
     # pairs are checked in order: the first absent or cycle-closing one raises
     absent = np.flatnonzero(G.multiplicities(inc_u, inc_v) == 0)
     first_absent = int(absent[0]) if len(absent) else len(include_pairs)
-    _roots, first_cycle = forest_roots(G.n, include_pairs[:first_absent])
-    if first_cycle < first_absent:
-        u, v = include_pairs[first_cycle]
+
+    def is_forest(k: int) -> bool:
+        # k distinct pairs form a forest exactly when they leave n - k roots
+        roots = forest_roots(G.n, inc_u[:k], inc_v[:k])
+        return np.count_nonzero(roots == np.arange(G.n)) == G.n - k
+
+    if not is_forest(first_absent):
+        # the first pair that closes a cycle ends the shortest prefix that is no forest
+        forest, cyclic = 0, first_absent
+        while cyclic - forest > 1:
+            mid = (forest + cyclic) // 2
+            forest, cyclic = (mid, cyclic) if is_forest(mid) else (forest, mid)
+        u, v = include_pairs[cyclic - 1]
         raise IncludeHasCycle(f"include set closes a cycle at ({u},{v})")
     if len(absent):
         u, v = include_pairs[first_absent]
@@ -326,50 +353,3 @@ def conditional_sample(
                 break
             offset -= m
     return SpanningTree(G.n, edges)
-
-
-def enumerate_spanning_trees(G: MultiGraph, max_trees: int = 10**6) -> list[SpanningTree]:
-    """All spanning trees, each parallel-edge choice counted separately.
-
-    Deletion-contraction recursion: the first edge copy either belongs to the
-    tree (contract) or not (delete), so every tree is produced exactly once.
-    """
-    if not G.is_connected():
-        raise GraphDisconnected("no spanning tree in a disconnected graph")
-    if G.n > 12:
-        raise TooManyTrees(f"{G.n} vertices > enumeration limit 12")
-    log_t = log_spanning_tree_count(G)
-    if log_t > math.log(max_trees) + 1e-9:
-        raise TooManyTrees(f"about exp({log_t:.1f}) trees > cap {max_trees}")
-
-    # edge copies carry their original identity through contractions
-    base_edges = []
-    for (u, v, m) in G.edges():
-        for c in range(m):
-            base_edges.append((u, v, (u, v, c)))
-
-    trees: list[SpanningTree] = []
-
-    def rec(labels_alive: frozenset, edges: list, chosen: list) -> None:
-        if len(labels_alive) == 1:
-            trees.append(SpanningTree(G.n, list(chosen)))
-            return
-        a0, b0, eid0 = edges[0]
-        rest = edges[1:]
-        # branch 1: eid0 in the tree -> contract b0 into a0
-        merged = []
-        for (a, b, eid) in rest:
-            na = a0 if a == b0 else a
-            nb = a0 if b == b0 else b
-            if na != nb:
-                merged.append((na, nb, eid))
-        rec(labels_alive - {b0}, merged, chosen + [eid0])
-        # branch 2: eid0 not in the tree -> drop it if connectivity survives;
-        # the edges always connect the alive labels, so the rest does exactly
-        # when it still joins a0 and b0
-        roots, _first_cycle = forest_roots(G.n, ((a, b) for (a, b, _eid) in rest))
-        if roots[a0] == roots[b0]:
-            rec(labels_alive, rest, chosen)
-
-    rec(frozenset(range(G.n)), base_edges, [])
-    return trees

@@ -1,4 +1,5 @@
-"""Seeds, sample counts, radii, edge entries and vertices of the wrong type raise typed errors.
+"""Seeds, sample counts, radii, edge entries, vertices, roots, degrees, bins and
+decomposition labels of the wrong type raise typed errors.
 
 Each of these used to be cast (a float seed or vertex ran as its integer
 part, a count of 1.5 removed one copy) or escaped as a raw TypeError,
@@ -8,20 +9,28 @@ import numpy as np
 import pytest
 
 from ustlocal.branching import root_ball_distribution_mc, root_degree_distribution
-from ustlocal.decompose import trivial_decomposition
+from ustlocal.decompose import ExpanderDecomposition, trivial_decomposition
 from ustlocal.electric import LaplacianSystem, edge_ust_probability, effective_resistance
 from ustlocal.errors import (
     ConditioningDisconnects,
+    InvalidDegree,
     MalformedEdge,
     ParameterOutOfRange,
+    PartitionMismatch,
     VertexOutOfRange,
 )
+from ustlocal.extremal import (
+    closed_form_max,
+    degree_density_bound,
+    optimize_lemma_max,
+    sharpness_graph,
+)
 from ustlocal.freq import freq_graph_component, freq_minus
-from ustlocal.graphon import constant_graphon, sample_w_random_graph
+from ustlocal.graphon import constant_graphon, degree_profile_compare, sample_w_random_graph
 from ustlocal.multigraph import MAX_VERTICES, MultiGraph, complete_graph, cycle_graph, path_graph
 from ustlocal.rng import stream
 from ustlocal.trees import RootedTree, ball, local_census
-from ustlocal.ust import SpanningTree, conditional_sample, wilson_sample
+from ustlocal.ust import SpanningTree, aldous_broder_sample, conditional_sample, wilson_sample
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None, -1])
@@ -205,3 +214,112 @@ def test_vertex_counts_take_numpy_integers():
     G, labels = sample_w_random_graph(constant_graphon(0.5), np.int64(9), seed=4)
     H, want = sample_w_random_graph(constant_graphon(0.5), 9, seed=4)
     assert G.n == 9 and list(G.edges()) == list(H.edges()) and labels.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("root", [1.5, 1.0, True, "1", None])
+def test_sampler_roots_reject_non_integers(root):
+    # 1.5 and "1" escaped as a raw TypeError, True as a raw ValueError
+    C5 = cycle_graph(5)
+    for sampler in (wilson_sample, aldous_broder_sample):
+        with pytest.raises(VertexOutOfRange):
+            sampler(C5, 1, root=root)
+    with pytest.raises(VertexOutOfRange):
+        SpanningTree.from_parents(2, [0, 0], [0, 0], root)
+
+
+def test_sampler_roots_take_numpy_integers():
+    C5 = cycle_graph(5)
+    for sampler in (wilson_sample, aldous_broder_sample):
+        assert sampler(C5, 1, root=np.int64(3)) == sampler(C5, 1, root=3)
+    assert SpanningTree.from_parents(2, [1, 1], [0, 0], np.uint8(1)) == SpanningTree(2, [(0, 1, 0)])
+
+
+def test_parent_arrays_reject_non_integers():
+    # a parent of 1.5 was cast to 1, which made a valid tree
+    with pytest.raises(VertexOutOfRange):
+        SpanningTree.from_parents(3, [0, 0, 1.5], [0, 0, 0], 0)
+    with pytest.raises(VertexOutOfRange):
+        SpanningTree.from_parents(2, [True, True], [0, 0], 1)
+    with pytest.raises(MalformedEdge):
+        SpanningTree.from_parents(3, [0, 0, 1], [0, 0, 0.5], 0)
+    tree = SpanningTree.from_parents(3, np.array([0, 0, 1], dtype=np.uint8), np.zeros(3, dtype=np.int32), 0)
+    assert tree == SpanningTree(3, [(0, 1, 0), (1, 2, 0)])
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None, -1])
+def test_spanning_tree_rejects_non_integer_counts(n):
+    # SpanningTree(2.5, ...) ran with n = 2
+    with pytest.raises(VertexOutOfRange):
+        SpanningTree(n, [(0, 1, 0)])
+    with pytest.raises(VertexOutOfRange):
+        SpanningTree.from_parents(n, [0, 0], [0, 0], 0)
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 1.5), (0, "1", 0), (0.0, 1, 0), (0, 1, True), (0, 1), (0, 1, 0, 0)])
+def test_spanning_tree_rejects_malformed_edges(edge):
+    # (1, 2, 1.5) and (1, "2", 0) were cast to (1, 2, 1) and (1, 2, 0)
+    with pytest.raises(MalformedEdge):
+        SpanningTree(3, [(0, 2, 0), edge])
+
+
+def test_spanning_tree_takes_numpy_integer_edges():
+    tree = SpanningTree(np.int64(3), [(np.int32(0), np.uint8(1), np.int64(0)), (1, 2, 0)])
+    assert tree.n == 3 and tree.edges == ((0, 1, 0), (1, 2, 0))
+
+
+@pytest.mark.parametrize("labels", [[1.5, 1, 1, 1, 1], [-1, 1, 1, 1, 1], [True, 1, 1, 1, 1],
+                                    ["1", 1, 1, 1, 1], np.array([1.0, 1, 1, 1, 1]),
+                                    np.array([-1, 1, 1, 1, 1]), np.ones(5, dtype=bool)])
+def test_decomposition_labels_reject_non_integers(labels):
+    # 1.5 was cast to 1, and -1 escaped verify_decomposition as a raw ValueError
+    with pytest.raises(PartitionMismatch):
+        ExpanderDecomposition(labels, 0.1, 0.1, 0.1)
+
+
+def test_decomposition_labels_take_numpy_integers():
+    for labels in ([np.int32(1), 1, 0], np.array([1, 1, 0], dtype=np.uint8)):
+        dec = ExpanderDecomposition(labels, 0.1, 0.1, 0.1)
+        assert dec.labels.dtype == np.int64 and dec.labels.tolist() == [1, 1, 0]
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+def test_degrees_reject_non_integers(k):
+    # degree_density_bound(2.5) escaped as a raw TypeError, and True ran as k = 1
+    for call in (degree_density_bound, optimize_lemma_max, closed_form_max):
+        with pytest.raises(InvalidDegree):
+            call(k)
+
+
+@pytest.mark.parametrize("k", [4.5, 4.0, "4", None])
+def test_sharpness_graph_rejects_non_integer_k(k):
+    # k = 4.5 was accepted
+    with pytest.raises(InvalidDegree):
+        sharpness_graph(20, k, 0.1, 1)
+
+
+@pytest.mark.parametrize("n", [20.5, 20.0, True, "20", None])
+def test_sharpness_graph_rejects_non_integer_n(n):
+    # sharpness_graph(20.5, ...) escaped as a raw TypeError
+    with pytest.raises(VertexOutOfRange):
+        sharpness_graph(n, 4, 0.1, 1)
+
+
+def test_degrees_take_numpy_integers():
+    assert degree_density_bound(np.int64(3)) == degree_density_bound(3)
+    assert closed_form_max(np.uint8(5)) == closed_form_max(5)
+    G, H = sharpness_graph(np.int32(20), np.int64(4), 0.1, 1), sharpness_graph(20, 4, 0.1, 1)
+    assert list(G.edges()) == list(H.edges())
+
+
+@pytest.mark.parametrize("bins", [0, -1, 2.5, 2.0, True, "2", None])
+def test_degree_profile_rejects_bad_bins(bins):
+    # bins=0 escaped as a raw IndexError, 2.5 as a raw TypeError
+    with pytest.raises(ParameterOutOfRange):
+        degree_profile_compare(complete_graph(4), constant_graphon(1.0), bins=bins)
+
+
+@pytest.mark.parametrize("entry", [(0,), (), (0, 1, 1, 1)])
+def test_freq_minus_rejects_malformed_excluded_edges(entry):
+    # (0,) escaped as a raw IndexError
+    with pytest.raises(MalformedEdge):
+        freq_minus(CHERRY, complete_graph(4), [], [entry])

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from ustlocal.cli import main
 from ustlocal.graphon import constant_graphon, save_graphon
 from ustlocal.multigraph import complete_graph, write_edge_list
 from ustlocal.trees import RootedTree
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args):
@@ -515,15 +519,32 @@ def test_non_integer_decomposition_labels_exit_code(workdir, capsys, label):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
 
 
+def _scipy_modules_after(code):
+    """The scipy modules loaded in a fresh interpreter after running code."""
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip().splitlines()[-1]
+
+
 def test_import_loads_no_sparse_graph_code():
-    # the benchmark's setup time is this import: scipy.sparse and scipy.linalg load on first
-    # use only, and no other part of scipy loads at all (one more module-level import is
-    # the size of the whole set-up time)
+    # the benchmark's setup time is this import: scipy.linalg loads on first use only,
+    # and no other part of scipy loads at all (one more module-level import is the size
+    # of the whole set-up time)
     for module in ("ustlocal", "ustlocal.cli"):
-        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[]", (module, res.stdout)
+        assert _scipy_modules_after(f"import {module}") == "[]", module
+
+
+def test_ust_command_loads_no_scipy(tmp_path):
+    # sampling reads the graph, checks connectivity, walks and takes the census
+    # in numpy alone
+    graph = GOLDEN / "gen.txt"
+    out = tmp_path / "ust.jsonl"
+    code = ("from ustlocal import cli\n"
+            f"assert cli.main(['ust', '--graph', {str(graph)!r}, '--samples', '2', '--seed', '5',"
+            f" '--radius', '2', '--out', {str(out)!r}]) == 0")
+    assert _scipy_modules_after(code) == "[]"
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_non_ascii_graph_file_is_config_error(workdir):

@@ -23,10 +23,10 @@ from ustlocal.errors import (
 )
 from ustlocal.graphon import constant_graphon
 from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, path_graph
-from ustlocal.ust import enumerate_spanning_trees
 
 from conftest import random_connected_graph
 from electric_oracle import dense_grounded_minor
+from ust_oracle import enumerate_spanning_trees
 
 
 def test_series_path():

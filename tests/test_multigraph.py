@@ -383,13 +383,32 @@ def test_edge_list_rejects_bad_edge_lines(text):
         MultiGraph.from_edge_list_text(text)
 
 
-def test_forest_roots_stops_at_first_cycle():
-    roots, joined = forest_roots(6, [(3, 4), (1, 3), (4, 5)])
-    assert (roots, joined) == ([0, 1, 2, 1, 1, 1], 3)
-    roots, joined = forest_roots(4, [(2, 3), (0, 1), (3, 2), (1, 2)])
-    assert joined == 2  # (3, 2) repeats the first pair
-    assert roots == [0, 0, 0, 0]  # every pair is joined, (1, 2) after the cycle too
-    assert forest_roots(3, [(0, 0)])[1] == 0  # a loop closes a cycle at once
+def _roots(n, pairs):
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return forest_roots(n, ends[:, 0], ends[:, 1]).tolist()
+
+
+def test_forest_roots_joins_every_pair():
+    # the root of each vertex is the smallest vertex of its component
+    assert _roots(6, [(3, 4), (1, 3), (4, 5)]) == [0, 1, 2, 1, 1, 1]
+    # (3, 2) repeats the first pair; (1, 2) is still joined after that cycle
+    assert _roots(4, [(2, 3), (0, 1), (3, 2), (1, 2)]) == [0, 0, 0, 0]
+    assert _roots(3, [(0, 0)]) == [0, 1, 2]  # a loop joins nothing
+    assert _roots(0, []) == [] and _roots(2, []) == [0, 1]
+    assert forest_roots(3, np.array([2]), np.array([1])).dtype == np.int64
+
+
+@pytest.mark.parametrize("chunk", [1, 7, multigraph._HOOK_EDGES])
+def test_forest_roots_independent_of_chunk(monkeypatch, chunk):
+    # chunks of 1 and 7 edges on 300 vertices hook without the per-chunk
+    # shortcut, the default with it; 300 random edges leave many components
+    rng = np.random.default_rng(31)
+    n = 300
+    u, v = rng.integers(0, n, 300), rng.integers(0, n, 300)
+    want = forest_roots(n, u, v)
+    assert 1 < len(np.unique(want)) < n
+    monkeypatch.setattr(multigraph, "_HOOK_EDGES", chunk)
+    assert forest_roots(n, u, v).tolist() == want.tolist()
 
 
 def test_parser_takes_long_zero_padded_tokens():

@@ -14,7 +14,6 @@ from ustlocal.multigraph import (
     MultiGraph,
     _parse_edge_list_bytes,
     _parse_edge_list_lines,
-    forest_roots,
     read_edge_list,
     write_edge_list,
 )
@@ -146,19 +145,32 @@ def test_component_labels_many_components(graph):
     assert G.component_labels().tolist() == D.component_labels()
 
 
+@st.composite
+def sparse_shapes(draw):
+    """(n, entries) of the shapes that stress `forest_roots`: a path through
+    the vertices in random order (deep label chains), a star centred on the
+    last vertex (every hook lands on one label), or a sparse graph with many
+    components; each with isolated vertices appended."""
+    n = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["path", "star", "sparse"]))
+    if shape == "path":
+        order = draw(st.permutations(range(n)))
+        entries = list(zip(order, order[1:]))
+    elif shape == "star":
+        entries = [(n - 1, x) for x in range(n - 1)]
+    else:
+        _n, entries = draw(multigraphs(max_n=n, max_mult=1, density=0.5))
+    return n + draw(st.integers(0, 3)), entries
+
+
 @PROPERTY
-@given(multigraphs(max_n=40, max_mult=2, density=0.6), st.integers(0, 3))
-@example((0, []), 0)
-@example((1, []), 0)
-@example((1, []), 2)
-def test_component_labels_match_forest_roots(graph, isolated):
-    # the union-find of edge sets numbers trees by smallest vertex too;
-    # `isolated` appends vertices without edges
-    n, entries = graph
-    G = MultiGraph.build(n + isolated, entries)
-    roots, _first_cycle = forest_roots(G.n, G.edge_pairs())
-    _uniq, want = np.unique(np.array(roots, dtype=np.int64), return_inverse=True)
-    assert G.component_labels().tolist() == want.ravel().tolist()
+@given(sparse_shapes())
+@example((0, []))
+@example((1, []))
+@example((3, []))
+def test_component_labels_on_paths_stars_and_forests(graph):
+    G, D = _both(*graph)
+    assert G.component_labels().tolist() == D.component_labels()
 
 
 @PROPERTY

@@ -23,11 +23,11 @@ from ustlocal.ust import (
     SpanningTree,
     aldous_broder_sample,
     conditional_sample,
-    enumerate_spanning_trees,
     wilson_sample,
 )
 
 from conftest import random_connected_graph
+from ust_oracle import enumerate_spanning_trees
 
 
 def test_enumerate_cycle():
@@ -224,6 +224,21 @@ def test_conditional_include_cycle_reported_before_later_absent_edge():
     # so is a pair with a vertex outside 0..n-1, even after a cycle-free prefix
     with pytest.raises(ConditioningDisconnects):
         conditional_sample(G, [(0, 1), (1, 9)], [], seed=1)
+
+
+@pytest.mark.parametrize("include,closing", [
+    ([(0, 1), (1, 2), (0, 2)], (0, 2)),
+    ([(3, 4), (1, 3), (4, 5), (5, 1), (0, 2), (2, 3), (0, 4)], (1, 5)),  # later pairs close cycles too
+    ([(0, 5), (1, 4), (2, 3), (0, 1), (2, 4), (1, 2), (3, 5)], (1, 2)),  # after a spanning prefix
+    ([(2, 3), (0, 1), (3, 2), (1, 2), (0, 3)], (0, 3)),  # (3, 2) repeats (2, 3) and closes nothing
+])
+def test_conditional_include_cycle_names_first_closing_pair(include, closing):
+    G = MultiGraph.build(6, [(u, v, 2) for u in range(6) for v in range(u + 1, 6)])
+    with pytest.raises(IncludeHasCycle, match=rf"closes a cycle at \({closing[0]},{closing[1]}\)$"):
+        conditional_sample(G, include, [], seed=1)
+    # without its first closing pair, the set up to it is a forest that conditions fine
+    prefix = include[:include.index(closing) if closing in include else include.index(closing[::-1])]
+    assert set(conditional_sample(G, prefix, [], seed=1).edge_pairs()) >= {tuple(sorted(p)) for p in prefix}
 
 
 def test_spanning_tree_rejects_cycles_and_outside_vertices():

@@ -1,10 +1,10 @@
-"""Property tests: delete-then-contract conditioning and the enumerator against the oracles."""
+"""Property tests: delete-then-contract conditioning and the walk samplers against the oracles."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ustlocal.errors import UstlocalError
+from ustlocal.errors import IncludeHasCycle, UstlocalError
 from ustlocal.multigraph import MultiGraph
-from ustlocal.ust import aldous_broder_sample, conditional_sample, enumerate_spanning_trees, wilson_sample
+from ustlocal.ust import aldous_broder_sample, conditional_sample, wilson_sample
 
 import ust_oracle
 
@@ -40,12 +40,12 @@ def conditioning(draw, G):
 
 
 def _outcome(call, *args):
-    """The edges of the tree or trees returned, or the class of the error raised."""
+    """The edges of the tree returned, or the class of the error raised."""
     try:
         out = call(*args)
     except UstlocalError as exc:
         return type(exc)
-    return [t.edges for t in out] if isinstance(out, list) else out.edges
+    return out.edges
 
 
 @PROPERTY
@@ -56,11 +56,25 @@ def test_conditional_sample_matches_oracle(G, data, seed):
     assert _outcome(conditional_sample, G, include, exclude, seed) == expected
 
 
+def _cycle_message(sample, G, include):
+    """The IncludeHasCycle message of conditioning G on include, or None."""
+    try:
+        sample(G, include, [], 1)
+    except IncludeHasCycle as exc:
+        return str(exc)
+    except UstlocalError:
+        pass
+    return None
+
+
 @PROPERTY
-@given(multigraphs(max_n=6, max_mult=2))
-def test_enumerator_matches_oracle(G):
-    # the same trees in the same order, or the same error class
-    assert _outcome(enumerate_spanning_trees, G) == _outcome(ust_oracle.enumerate_spanning_trees, G)
+@given(multigraphs(), st.data())
+def test_include_cycle_names_the_oracle_pair(G, data):
+    # the bisection over prefixes names the pair at which the oracle's
+    # sequential union-find first stops
+    include = data.draw(st.lists(st.sampled_from(G.edge_pairs()), max_size=2 * G.n))
+    expected = _cycle_message(ust_oracle.conditional_sample, G, include)
+    assert _cycle_message(conditional_sample, G, include) == expected
 
 
 @PROPERTY

@@ -5,11 +5,13 @@ samplers: one `_step` call and one buffered uniform per walk step, and the
 tree built from its (u, v, copy) edge list.  The library samplers must
 return the same trees, copies included.
 
-The earlier forms of `ustlocal.ust.conditional_sample`, which built its own
-quotient graph, and of `enumerate_spanning_trees`, which kept a private
-dict-based union-find.  They carry their own union-finds and walk with
-the Wilson sampler above, so that they share no graph code with the
-library beyond `MultiGraph` itself.
+The earlier form of `ustlocal.ust.conditional_sample`, which built its own
+quotient graph, and `enumerate_spanning_trees`, the exhaustive
+deletion-contraction enumerator, which the library no longer carries: the
+Kirchhoff, uniformity and tree-count tests read their exact tree sets from
+it.  They carry their own union-finds and walk with the Wilson sampler
+above, so that they share no graph code with the library beyond
+`MultiGraph` and `SpanningTree` themselves.
 """
 import math
 
