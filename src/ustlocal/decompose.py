@@ -159,10 +159,21 @@ def trivial_decomposition(G: MultiGraph, gamma: float = 0.0, eta: float = 1.0, e
 
 
 def _best_split(G: MultiGraph, cluster: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Cheapest sweep cut of G[cluster] in dense-expansion units e/( |S||P\\S| )."""
+    """Cheapest sweep cut of G[cluster] in dense-expansion units e/( |S||P\\S| ).
+
+    The cluster is sorted first, since `induced_subgraph` numbers the
+    vertices of G[cluster] in sorted order and the side is read back through
+    that numbering.  A disconnected G[cluster] splits for free: the result
+    is ratio 0.0 and the component of its smallest vertex, with no sweep
+    (a vertex without neighbours in the cluster has no lazy walk row, and
+    lambda_2 = 1 repeats).
+    """
+    cluster = np.sort(cluster)
     sub, _ = G.induced_subgraph(cluster)
     if sub.n < 2:
         return float("inf"), None
+    if not sub.is_connected():
+        return 0.0, cluster[sub.component_labels() == 0]
     order, cuts = sweep_cuts(sub)
     sizes = np.arange(1, sub.n)
     ratios = cuts / (sizes * (sub.n - sizes))

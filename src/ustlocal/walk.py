@@ -36,31 +36,54 @@ class WalkProfile:
         return (0.5 * math.log(1.0 / self.min_stationary) + math.log(1.0 / (2 * eps))) / self.gap
 
 
-def _lazy_walk_matrix(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The lazy chain symmetrized as D^1/2 P D^-1/2, and deg^-1/2."""
+# the lazy matrix M and deg^-1/2, as `_lazy_walk_matrix` returns them
+_Lazy = tuple[np.ndarray, np.ndarray]
+
+
+def _lazy_walk_matrix(G: MultiGraph) -> _Lazy:
+    """The lazy chain symmetrized as D^1/2 P D^-1/2, and deg^-1/2.
+
+    M = N / 2 with 1/2 added on the diagonal, built in place; halving is
+    exact, so this equals 0.5 * (I + N) bit for bit.
+    """
     deg = G.degrees.astype(np.float64)
-    A = G.adjacency_matrix()
     inv_sqrt = 1.0 / np.sqrt(deg)
-    N = A * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return 0.5 * (np.eye(G.n) + N), inv_sqrt
+    M = G.adjacency_matrix() * inv_sqrt[:, None] * inv_sqrt[None, :]
+    M *= 0.5
+    M.flat[:: G.n + 1] += 0.5
+    return M, inv_sqrt
 
 
-def _lazy_lambda2(G: MultiGraph) -> float:
+def _lazy_lambda2(G: MultiGraph, lazy: _Lazy | None = None) -> float:
+    """lambda_2 of the lazy chain, from all n eigenvalues; `lazy` as in `_fiedler_vector`."""
     import scipy.linalg
 
-    M, _inv_sqrt = _lazy_walk_matrix(G)
-    vals = scipy.linalg.eigvalsh(M)
-    return float(vals[-2])
+    M, _inv_sqrt = _lazy_walk_matrix(G) if lazy is None else lazy
+    return float(scipy.linalg.eigvalsh(M)[-2])
 
 
-def _fiedler_vector(G: MultiGraph) -> np.ndarray:
-    """Eigenvector for lambda_2 of the lazy chain, in walk coordinates."""
+def _fiedler_vector(G: MultiGraph, lazy: _Lazy | None = None) -> np.ndarray:
+    """Eigenvector for lambda_2 of the lazy chain, in walk coordinates.
+
+    Only the top two eigenpairs of the symmetrized matrix are computed, and
+    the lambda_2 vector is the first of them; the entry of largest
+    magnitude is made positive.  `lazy` is `_lazy_walk_matrix(G)` when the
+    caller already holds it.
+    """
     import scipy.linalg
 
-    M, inv_sqrt = _lazy_walk_matrix(G)
-    vals, vecs = scipy.linalg.eigh(M)
-    y = vecs[:, -2] * inv_sqrt
-    # canonical sign: entry of largest magnitude is positive
+    M, inv_sqrt = _lazy_walk_matrix(G) if lazy is None else lazy
+    n = G.n
+    try:
+        vecs = scipy.linalg.eigh(M, subset_by_index=[n - 2, n - 1])[1]
+    except np.linalg.LinAlgError:
+        vecs = np.empty((n, 0))
+    if vecs.shape[1] < 2:
+        # on a highly degenerate spectrum (K30, K200) LAPACK dsyevr over an
+        # index range can find no pairs and still report success, or fail;
+        # the full eigh of the same matrix stands in
+        vecs = scipy.linalg.eigh(M)[1][:, -2:]
+    y = vecs[:, 0] * inv_sqrt
     pivot = int(np.argmax(np.abs(y)))
     if y[pivot] < 0:
         y = -y
@@ -80,15 +103,16 @@ def exact_cheeger(G: MultiGraph) -> float:
     return float((cut[has_side] / (2.0 * side[has_side])).min(initial=np.inf))
 
 
-def sweep_cuts(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
+def sweep_cuts(G: MultiGraph, lazy: _Lazy | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The Fiedler order of G and the cut of each of its proper prefixes.
 
     cuts[k] = e(S, V\\S) for S = order[:k + 1], k = 0..n-2, counted with
     multiplicity.  An edge becomes internal to the prefix at the later of
     its endpoints' ranks, so every cut follows from one cumulative sum.
+    `lazy` is passed on to `_fiedler_vector`.
     """
     n = G.n
-    order = np.argsort(-_fiedler_vector(G), kind="stable")
+    order = np.argsort(-_fiedler_vector(G, lazy), kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     joined = np.bincount(np.maximum(rank[G.u], rank[G.v]), weights=G.mult, minlength=n)
@@ -97,9 +121,9 @@ def sweep_cuts(G: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
     return order, cuts[: n - 1]
 
 
-def sweep_cut_cheeger(G: MultiGraph) -> float:
+def sweep_cut_cheeger(G: MultiGraph, lazy: _Lazy | None = None) -> float:
     """Upper bound on Phi_* from prefixes of the Fiedler order."""
-    order, cuts = sweep_cuts(G)
+    order, cuts = sweep_cuts(G, lazy)
     deg = G.degrees
     vol = np.cumsum(deg[order])[: G.n - 1]
     side_vol = np.minimum(vol, int(deg.sum()) - vol)
@@ -110,16 +134,21 @@ def sweep_cut_cheeger(G: MultiGraph) -> float:
 
 
 def spectral_profile(G: MultiGraph) -> WalkProfile:
-    """Cheeger constant (exact below the limit, else sweep upper bound) and lazy gap."""
+    """Cheeger constant (exact below the limit, else sweep upper bound) and lazy gap.
+
+    lambda_2 comes from the full `eigvalsh`, and the sweep reads the same
+    lazy matrix.
+    """
     if G.n < 2:
         raise InvalidVertices(f"walk diagnostics need at least 2 vertices, graph has {G.n}")
     if not G.is_connected():
         raise GraphDisconnected("walk diagnostics need a connected graph")
-    lam2 = _lazy_lambda2(G)
+    lazy = _lazy_walk_matrix(G)
+    lam2 = _lazy_lambda2(G, lazy)
     if G.n <= EXACT_CHEEGER_LIMIT:
         phi, exact = exact_cheeger(G), True
     else:
-        phi, exact = sweep_cut_cheeger(G), False
+        phi, exact = sweep_cut_cheeger(G, lazy), False
     deg = G.degrees.astype(np.float64)
     min_pi = float(deg.min() / deg.sum())
     return WalkProfile(

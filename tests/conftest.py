@@ -26,6 +26,15 @@ def random_connected_min_degree(rng, n, p, min_degree):
             return G
 
 
+def two_cliques_matching(m):
+    """Two copies of K_m joined by the perfect matching i -- m + i."""
+    edges = []
+    for base in (0, m):
+        edges += [(base + i, base + j, 1) for i in range(m) for j in range(i + 1, m)]
+    edges += [(i, m + i, 1) for i in range(m)]
+    return MultiGraph.build(2 * m, edges)
+
+
 def gnp(rng, n, p):
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(len(iu)) < p

@@ -130,6 +130,23 @@ def test_decompose_roundtrip(workdir):
     assert payload["labels"] == [1] * 8
 
 
+@pytest.mark.parametrize("edges, params, labels", [
+    # a phase-1 side holds vertex 3 with no neighbour inside it
+    ("0 2\n0 6\n1 5\n1 6\n2 4\n2 6\n2 7\n3 4\n4 5\n4 6\n5 7\n", ("0.5", "0.8", "0.5"),
+     [1, 2, 1, 0, 1, 2, 1, 2]),
+    # a side that is split again arrives in Fiedler order, not sorted
+    ("0 1\n0 3\n0 4\n0 5\n1 2\n2 5\n", ("0.7", "0.6", "0.05"), [0] * 6),
+])
+def test_decompose_split_sides_exit_cleanly(workdir, edges, params, labels):
+    graph = workdir / "g.txt"
+    graph.write_text(f"{len(labels)} {edges.count(chr(10))}\n{edges}")
+    gamma, eta, eps = params
+    res = run_cli("decompose", "--graph", str(graph), "--gamma", gamma, "--eta", eta, "--eps", eps)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    assert json.loads(res.stdout)["labels"] == labels
+
+
 def test_branching_census_csv(workdir):
     res = run_cli("branching", "--graphon", str(workdir / "const1.json"),
                   "--depth", "1", "--samples", "500", "--seed", "3")

@@ -3,6 +3,7 @@ import pytest
 
 from ustlocal.decompose import (
     ExpanderDecomposition,
+    _best_split,
     _clean_cluster,
     _first_violating_prefix,
     big_parts,
@@ -17,15 +18,7 @@ from ustlocal.graphon import StepGraphon, sample_w_random_graph
 from ustlocal.multigraph import MultiGraph, complete_graph
 from ustlocal.walk import _fiedler_vector, sweep_cuts
 
-from conftest import random_connected_graph
-
-
-def two_cliques_matching(m):
-    edges = []
-    for base in (0, m):
-        edges += [(base + i, base + j, 1) for i in range(m) for j in range(i + 1, m)]
-    edges += [(i, m + i, 1) for i in range(m)]
-    return MultiGraph.build(2 * m, edges)
+from conftest import random_connected_graph, two_cliques_matching
 
 
 def test_complete_graph_single_part():
@@ -194,6 +187,55 @@ def test_planted_labels_recovered():
         majority = np.bincount(votes).argmax()
         agree += int((votes == majority).sum())
     assert agree >= 0.95 * 300
+
+
+def _planted_blocks(k, n=400, seed=3):
+    W = np.full((k, k), 0.01)
+    np.fill_diagonal(W, 0.9)
+    return sample_w_random_graph(StepGraphon(np.full(k, 1.0 / k), W), n, seed=seed)
+
+
+def test_best_split_ignores_cluster_order():
+    # phase 1 pushes its side in Fiedler order, and the side is split again
+    G, _planted = _planted_blocks(4)
+    _ratio, side = _best_split(G, np.arange(G.n))
+    assert side.tolist() != sorted(side.tolist())
+    for cluster in (side, np.arange(G.n)):
+        ratio, got = _best_split(G, cluster)
+        for shuffled in (cluster[::-1], np.random.default_rng(7).permutation(cluster)):
+            again, got_shuffled = _best_split(G, shuffled)
+            assert again == ratio
+            assert got_shuffled.tolist() == got.tolist()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_planted_blocks_recovered_exactly(k):
+    G, planted = _planted_blocks(k)
+    dec = expander_decompose(G, gamma=0.1, eta=0.1, eps=0.1)
+    assert dec.k == k
+    assert len(dec.residual()) == 0
+    assert sorted(len(set(planted[part].tolist())) for part in dec.parts()) == [1] * k
+    assert dec.verification.ok
+
+
+def test_best_split_separates_components():
+    # triangles {0, 1, 2} and {3, 4, 5}, and 6 with no neighbour in the cluster
+    G = MultiGraph.build(8, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1), (6, 7, 1)])
+    for cluster, first in (([4, 0, 5, 2, 3, 1], [0, 1, 2]), ([6, 5, 4, 3], [3, 4, 5])):
+        ratio, side = _best_split(G, np.array(cluster))
+        assert ratio == 0.0 and side.tolist() == first
+
+
+def test_decompose_splits_disconnected_sides():
+    # the first sweep cut leaves the side {1, 3, 5, 7}, in which 3 has no
+    # neighbour; a lazy walk on it would divide by a zero degree
+    G = MultiGraph.build(8, [(0, 2, 1), (0, 6, 1), (1, 5, 1), (1, 6, 1), (2, 4, 1), (2, 6, 1),
+                             (2, 7, 1), (3, 4, 1), (4, 5, 1), (4, 6, 1), (5, 7, 1)])
+    ratio, side = _best_split(G, np.array([1, 3, 5, 7]))
+    assert ratio == 0.0 and side.tolist() == [1, 5, 7]
+    dec = expander_decompose(G, gamma=0.5, eta=0.8, eps=0.5)
+    assert dec.labels.tolist() == [1, 2, 1, 0, 1, 2, 1, 2]
+    assert dec.verification.ok
 
 
 def test_idempotence_of_cleaning(rng):

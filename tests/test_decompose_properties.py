@@ -1,4 +1,6 @@
 """Property tests: goodness and the (G2) boundaries against loop-by-loop oracles."""
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +9,11 @@ from ustlocal.decompose import (
     GOOD_CONSTANTS,
     ExpanderDecomposition,
     _clean_cluster,
+    expander_decompose,
     good_vertices,
     verify_decomposition,
 )
+from ustlocal.errors import UstlocalError
 from ustlocal.multigraph import MultiGraph
 
 from decompose_oracle import good_vertices_oracle
@@ -69,3 +73,28 @@ def test_cleaning_ignores_cluster_order(graph, gamma, random):
     got_kept, got_stripped = _clean_cluster(G, shuffled, gamma)
     assert got_kept.tolist() == kept.tolist() and got_stripped.tolist() == stripped.tolist()
     assert sorted(kept.tolist() + stripped.tolist()) == cluster.tolist()
+
+
+@st.composite
+def simple_graphs(draw, max_n=20):
+    """G(n, p) graphs on 1..max_n vertices: sparse ones are often disconnected."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([0.15, 0.3, 0.45, 0.6, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < p
+    return MultiGraph.build(n, [(int(u), int(v), 1) for u, v in zip(iu[keep], ju[keep])])
+
+
+@PROPERTY
+@given(simple_graphs(), *[st.floats(0.01, 0.99)] * 3)
+def test_decompose_labels_every_vertex_without_warnings(G, gamma, eta, eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            dec = expander_decompose(G, gamma, eta, eps)
+        except UstlocalError:
+            return
+    assert len(dec.labels) == G.n
+    assert ((dec.labels >= 0) & (dec.labels <= dec.k)).all()
+    assert set(range(1, dec.k + 1)) <= set(dec.labels.tolist())

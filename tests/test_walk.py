@@ -13,14 +13,17 @@ from ustlocal.errors import (
 from ustlocal.multigraph import MultiGraph, complete_graph, cycle_graph, path_graph
 from ustlocal.walk import (
     EXACT_CHEEGER_LIMIT,
+    _fiedler_vector,
+    _lazy_walk_matrix,
     exact_cheeger,
     hitting_before_return_exact,
     hitting_before_return_mc,
     spectral_profile,
+    sweep_cuts,
 )
 
-from conftest import gnp, random_connected_graph
-from walk_oracle import hitting_before_return_lockstep
+from conftest import gnp, random_connected_graph, two_cliques_matching
+from walk_oracle import fiedler_vector_full, hitting_before_return_lockstep, sweep_cuts_full
 
 
 def test_triangle_return_probability():
@@ -235,3 +238,66 @@ def test_hitting_accepts_numpy_integer_vertices():
 def test_mc_rejects_non_integer_samples(samples):
     with pytest.raises(ParameterOutOfRange):
         hitting_before_return_mc(complete_graph(3), 0, 0, 1, samples, seed=1)
+
+
+def test_lazy_walk_matrix_is_half_identity_plus_normalized_adjacency(rng):
+    for _ in range(6):
+        G = random_connected_graph(rng, int(rng.integers(3, 30)), 0.4, max_mult=3)
+        M, inv_sqrt = _lazy_walk_matrix(G)
+        N = G.adjacency_matrix() * inv_sqrt[:, None] * inv_sqrt[None, :]
+        assert np.array_equal(M, 0.5 * (np.eye(G.n) + N))
+
+
+def test_sweep_cuts_match_full_eigh_oracle(rng):
+    # where lambda_2 is simple and the Fiedler entries are distinct beyond
+    # rounding, the order of the two-pair solve is the order of the full one;
+    # the sign rule reads the entry of largest magnitude, so the two largest
+    # magnitudes must be distinct too
+    compared = 0
+    graphs = [random_connected_graph(rng, int(rng.integers(3, 40)), float(rng.uniform(0.15, 0.9)),
+                                     max_mult=int(rng.integers(1, 4))) for _ in range(40)]
+    graphs += [gnp(rng, 150, 0.3), two_cliques_matching(40)]
+    for G in graphs:
+        vals = np.linalg.eigvalsh(_lazy_walk_matrix(G)[0])
+        y = fiedler_vector_full(G)
+        top = np.sort(np.abs(y))[-2:]
+        spacing = min(np.diff(np.sort(y)).min(), top[1] - top[0])
+        if min(vals[-1] - vals[-2], vals[-2] - vals[-3]) < 1e-6 or spacing < 1e-9:
+            continue
+        order, cuts = sweep_cuts(G)
+        ref_order, ref_cuts = sweep_cuts_full(G)
+        assert order.tolist() == ref_order.tolist()
+        assert cuts.tolist() == ref_cuts.tolist()
+        compared += 1
+    assert compared >= 30
+
+
+@pytest.mark.parametrize("G", [complete_graph(30), complete_graph(200), two_cliques_matching(200)],
+                         ids=["K30", "K200", "c11"])
+def test_fiedler_vector_on_degenerate_spectra(G):
+    # lambda_2 repeats n - 1 times on K_n (and m - 1 times on the c11 graph),
+    # where the two-pair solve may find no pairs and the full eigh stands in
+    M, inv_sqrt = _lazy_walk_matrix(G)
+    lam2 = np.linalg.eigvalsh(M)[-2]
+    x = _fiedler_vector(G) / inv_sqrt  # back to the symmetrized coordinates
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-10
+    assert np.linalg.norm(M @ x - lam2 * x) <= 1e-10
+    assert abs(x @ (1.0 / inv_sqrt)) <= 1e-10 * np.linalg.norm(1.0 / inv_sqrt)
+
+
+@pytest.mark.parametrize("failure", ["no pairs", "error"])
+def test_fiedler_vector_falls_back_to_full_eigh(monkeypatch, failure):
+    import scipy.linalg
+
+    eigh = scipy.linalg.eigh
+
+    def failing_subset_eigh(a, *args, **kwargs):
+        if "subset_by_index" not in kwargs:
+            return eigh(a, *args, **kwargs)
+        if failure == "error":
+            raise np.linalg.LinAlgError("Internal Error")
+        return np.empty(0), np.empty((len(a), 0))
+
+    G = random_connected_graph(np.random.default_rng(5), 12, 0.5)
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_subset_eigh)
+    assert np.array_equal(_fiedler_vector(G), fiedler_vector_full(G))
