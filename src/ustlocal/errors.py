@@ -21,7 +21,7 @@ def malformed_json(what: str):
     """Report JSON input that does not parse, lacks a key or holds an unusable value as ConfigParse."""
     try:
         yield
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, OverflowError) as exc:
         raise ConfigParse(f"bad {what} JSON: {type(exc).__name__}: {exc}") from exc
 
 
@@ -42,7 +42,7 @@ class BudgetError(UstlocalError):
     exit_code = 5
 
 
-# -- graph construction and editing -----------------------------------------
+# -- graph construction -----------------------------------------------------
 
 class LoopEdge(PreconditionError):
     pass
@@ -83,20 +83,6 @@ class NotSimple(PreconditionError):
 
 
 class InvalidVertices(PreconditionError):
-    pass
-
-
-# -- spanning-tree sampling ---------------------------------------------------
-
-class IncludeHasCycle(PreconditionError):
-    pass
-
-
-class ConditioningDisconnects(PreconditionError):
-    pass
-
-
-class TooManyTrees(BudgetError):
     pass
 
 

@@ -7,9 +7,9 @@ numerator ranges over the top-height vertices.  That weight factorizes over
 the pattern's edges except for the numerator, which is linear, so one
 bottom-up pass over the tree evaluates it exactly in O(ell k^2) for ell
 pattern vertices and k blocks (the sum-product method on trees, carrying a
-second message for the numerator).  Patterns with k**ell above
-``ASSIGNMENT_CAP`` are refused: the cap is the documented pattern-size
-contract.
+second message for the numerator).  Patterns with k**ell above the module
+constant ``ASSIGNMENT_CAP`` (2e6) raise PatternTooLarge: the cap is the
+documented pattern-size contract, not a caller's option.
 
 Discrete analogues sum the same weight over ordered tuples of distinct
 vertices whose pattern edges are graph edges.  They have two exact
@@ -77,7 +77,7 @@ def _pattern(T: RootedTree) -> tuple[int, int, list[tuple[int, int]], int]:
 # -- graphon side ------------------------------------------------------------------
 
 
-def freq_graphon(T: RootedTree, g: StepGraphon, assignment_cap: int = ASSIGNMENT_CAP) -> FreqReport:
+def freq_graphon(T: RootedTree, g: StepGraphon) -> FreqReport:
     """Exact Freq(T; W) by one bottom-up pass over the normalized pattern.
 
     The assignment weight is a product over pattern edges times the linear
@@ -87,14 +87,14 @@ def freq_graphon(T: RootedTree, g: StepGraphon, assignment_cap: int = ASSIGNMENT
     child c into its parent with M = W F_c and N = W S_c gives S <- S M + F N
     and F <- F M.  The cost is O(ell k^2) for ell pattern vertices and k blocks.
 
-    ``assignment_cap`` is the documented pattern-size contract: patterns with
-    k**ell > assignment_cap raise PatternTooLarge before any work.
+    ``ASSIGNMENT_CAP`` is the documented pattern-size contract: patterns with
+    k**ell > ASSIGNMENT_CAP raise PatternTooLarge before any work.
     """
     g.require_nondegenerate()
     ell, p, edges, stab = _pattern(T)
     k = g.k
-    if k**ell > assignment_cap:
-        raise PatternTooLarge(f"{k}^{ell} assignments exceed cap {assignment_cap}")
+    if k**ell > ASSIGNMENT_CAP:
+        raise PatternTooLarge(f"{k}^{ell} assignments exceed cap {ASSIGNMENT_CAP}")
     d = g.block_degrees
     base = g.mu / d
     below = base * np.exp(-g.block_b)

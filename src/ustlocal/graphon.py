@@ -81,11 +81,21 @@ class StepGraphon:
     def from_json(cls, text: str) -> "StepGraphon":
         with malformed_json("graphon"):
             data = json.loads(text)
-            mu = np.array(data["mu"], dtype=np.float64)
-            W = np.array(data["W"], dtype=np.float64)
+            raw = data["mu"], data["W"]
+            # JSON numbers only: a cast to float64 would read "0.5" as 0.5 and true as 1
+            if not all(_json_numbers(x) for x in raw):
+                raise ConfigParse("graphon 'mu' and 'W' must hold JSON numbers only")
+            mu, W = (np.array(x, dtype=np.float64) for x in raw)
         if mu.ndim != 1:
             raise ConfigParse("graphon 'mu' must be a list of block measures")
         return cls(mu, W)
+
+
+def _json_numbers(value) -> bool:
+    """True for a JSON number or a list, nested or not, of JSON numbers only."""
+    if isinstance(value, list):
+        return all(_json_numbers(x) for x in value)
+    return type(value) in (int, float)
 
 
 def constant_graphon(p: float) -> StepGraphon:
@@ -109,7 +119,7 @@ def validate(g: StepGraphon) -> ValidationReport:
     return ValidationReport(True, d, b, float(np.dot(g.mu, b)))
 
 
-def cut_norm_step(U: np.ndarray, mu: np.ndarray, block_limit: int = CUT_NORM_BLOCK_LIMIT) -> float:
+def cut_norm_step(U: np.ndarray, mu: np.ndarray) -> float:
     """Exact cut norm of a signed symmetric step function.
 
     The bilinear objective over the box [0,1]^k x [0,1]^k attains its optimum
@@ -125,8 +135,8 @@ def cut_norm_step(U: np.ndarray, mu: np.ndarray, block_limit: int = CUT_NORM_BLO
         raise AsymmetricKernel("step function must be symmetric")
     if (np.abs(U) > 1.0 + 1e-15).any():
         raise EntryOutOfRange("entries must lie in [-1, 1]")
-    if k > block_limit:
-        raise TooManyBlocks(f"{k} blocks > limit {block_limit}")
+    if k > CUT_NORM_BLOCK_LIMIT:
+        raise TooManyBlocks(f"{k} blocks > limit {CUT_NORM_BLOCK_LIMIT}")
     M = mu[:, None] * mu[None, :] * U
     best = 0.0
     members = np.array([1 << i for i in range(k)], dtype=np.int64)

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    EdgeNotInGraph,
     LoopEdge,
     MalformedEdge,
     ParameterOutOfRange,
@@ -61,21 +60,6 @@ def _edge_entry(entry) -> tuple[int, int, int]:
         raise MalformedEdge(f"edge entry {tuple(entry)!r} is not (u, v) or (u, v, count) in integers")
     u, v, m = (*entry, 1)[:3]
     return int(u), int(v), int(m)
-
-
-def _edge_multiset(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate (u, v) pairs or (u, v, mult) triples into normalized pairs with summed counts.
-
-    Returns the arrays a, b (a <= b) and count, pairs in order of first
-    appearance.  A malformed entry raises MalformedEdge (see `_edge_entry`).
-    """
-    out: dict[tuple[int, int], int] = {}
-    for entry in entries:
-        u, v, m = _edge_entry(entry)
-        key = _normalize_pair(u, v)
-        out[key] = out.get(key, 0) + m
-    pairs = np.array(list(out), dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1], np.array(list(out.values()), dtype=np.int64)
 
 
 _HOOK_EDGES = 2**16  # edges hooked per chunk of `forest_roots`
@@ -328,9 +312,6 @@ class MultiGraph:
             self._degrees = deg
         return self._degrees
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
     def _vertices(self, A: Iterable[int]) -> np.ndarray:
         """The vertices of A as an int64 array.
 
@@ -355,8 +336,8 @@ class MultiGraph:
         mask[self._vertices(A)] = True
         return mask
 
-    def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
-        A = np.zeros((self.n, self.n), dtype=dtype)
+    def adjacency_matrix(self) -> np.ndarray:
+        A = np.zeros((self.n, self.n))
         A[self.u, self.v] = self.mult
         A[self.v, self.u] = self.mult
         return A
@@ -425,40 +406,6 @@ class MultiGraph:
         out = np.bincount(u, weights=m * values[v], minlength=self.n)
         return out + np.bincount(v, weights=m * values[u], minlength=self.n)
 
-    # -- editing --------------------------------------------------------------
-
-    def contract(self, S: Iterable[Sequence[int]]) -> tuple["MultiGraph", np.ndarray]:
-        """Contract the edges of S; loops are dropped, parallels accumulate.
-
-        Returns the contracted graph and the old -> new vertex map.
-        """
-        a, b, _counts = _edge_multiset(S)
-        missing = np.flatnonzero(self.multiplicities(a, b) == 0)
-        if len(missing):
-            i = int(missing[0])
-            raise EdgeNotInGraph(f"edge {(int(a[i]), int(b[i]))} not in graph")
-        # roots are smallest vertices, so their ranks number the new vertices
-        new_vertices, vmap = np.unique(forest_roots(self.n, a, b), return_inverse=True)
-        cu, cv = vmap[self.u], vmap[self.v]
-        keep = cu != cv
-        return MultiGraph.from_arrays(len(new_vertices), cu[keep], cv[keep], self.mult[keep]), vmap
-
-    def delete(self, S: Iterable[Sequence[int]]) -> "MultiGraph":
-        """Remove edge copies listed in S; (u, v) removes one copy, (u, v, m) removes m."""
-        a, b, counts = _edge_multiset(S)
-        have = self.multiplicities(a, b)
-        short = np.flatnonzero((have < counts) | (counts < 1))
-        if len(short):
-            i = int(short[0])
-            pair = (int(a[i]), int(b[i]))
-            if counts[i] < 1:
-                raise ZeroMultiplicity(f"cannot remove {int(counts[i])} copies of {pair}")
-            raise EdgeNotInGraph(f"cannot remove {int(counts[i])} copies of {pair}, have {int(have[i])}")
-        mult = self.mult.copy()
-        mult[np.searchsorted(self._pair_keys(), a * self.n + b)] -= counts
-        keep = mult > 0
-        return MultiGraph(self.n, self.u[keep], self.v[keep], mult[keep])
-
     def induced_subgraph(self, A: Iterable[int]) -> tuple["MultiGraph", dict[int, int]]:
         """Subgraph on A with vertices relabeled 0..|A|-1 (sorted order)."""
         verts = np.unique(self._vertices(A))
@@ -489,10 +436,6 @@ class MultiGraph:
         return int(self.component_labels().max()) == 0
 
     # -- exact expansion -----------------------------------------------------------
-
-    def is_gamma_expander(self, gamma: float) -> bool:
-        """Exact check of e(U, V\\U) >= gamma |U| (n - |U|) for every U."""
-        return self.exact_expansion() >= gamma - 1e-12
 
     def exact_expansion(self) -> float:
         """min over proper nonempty U of e(U, V\\U) / (|U| |V\\U|), from `subset_cuts`.
@@ -538,9 +481,6 @@ class MultiGraph:
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, edges={len(self.u)}, total_mult={sum(self.mult.tolist())})"
-
-    def check_handshake(self) -> None:
-        assert int(self.degrees.sum()) == 2 * self.num_edges
 
 
 def _bit_rows(k: int) -> np.ndarray:

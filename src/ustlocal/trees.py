@@ -144,14 +144,16 @@ class RootedTree:
     """Finite rooted tree given by a parent array (root marked -1)."""
 
     def __init__(self, parent: Iterable[int]):
-        parent = tuple(int(p) for p in parent)
+        parent = tuple(parent)
         n = len(parent)
+        for i, p in enumerate(parent):
+            # numpy integers are taken; a cast would read 0.5 and "0" as 0, and True as 1
+            if not is_integer(p) or not -1 <= p < n:
+                raise InvalidVertices(f"parent {p!r} of vertex {i} is not an integer in -1..{n - 1}")
+        parent = tuple(int(p) for p in parent)
         roots = [i for i, p in enumerate(parent) if p == -1]
         if len(roots) != 1:
             raise InvalidVertices(f"need exactly one root, found {len(roots)}")
-        for i, p in enumerate(parent):
-            if p != -1 and not (0 <= p < n):
-                raise InvalidVertices(f"parent {p} of vertex {i} out of range")
         self.parent = parent
         self.root = roots[0]
         self.size = n

@@ -10,29 +10,25 @@ moves to nb[base[x] + floor(u deg(x))], that is to y with probability
 mult(x, y) / deg(x).  The step is inlined in each sampler's loop, over a
 memoryview of `nb`.  The walk's parent pointers are the tree: a sampler
 returns them with one copy index per vertex (`SpanningTree.from_parents`).
-Edge-built trees and include sets are checked by the one connectivity
-routine, `multigraph.forest_roots`.  The exhaustive deletion-contraction
+Edge-built trees are checked by the one connectivity routine,
+`multigraph.forest_roots`.  The exhaustive deletion-contraction
 enumerator is a test oracle (`tests/ust_oracle.py`), not part of the
 library.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import (
-    ConditioningDisconnects,
-    EdgeNotInGraph,
     GraphDisconnected,
-    IncludeHasCycle,
     MalformedEdge,
     PreconditionError,
     VertexOutOfRange,
-    ZeroMultiplicity,
     is_integer,
 )
-from .multigraph import MultiGraph, _edge_multiset, _normalize_pair, forest_roots, vertex_count
+from .multigraph import MultiGraph, _normalize_pair, forest_roots, vertex_count
 from .rng import stream, uniform_blocks
 
 
@@ -154,10 +150,6 @@ class SpanningTree:
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         return [(u, v) for (u, v, _c) in self.edges]
-
-    def validate_against(self, G: MultiGraph) -> None:
-        for (u, v, c) in self.edges:
-            assert 0 <= c < G.multiplicity(u, v), f"edge ({u},{v},{c}) absent from host"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SpanningTree) and self.edges == other.edges
@@ -283,73 +275,3 @@ def aldous_broder_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTre
         x = y
     parent = np.array(parent, dtype=np.int64)
     return SpanningTree.from_parents(G.n, parent, _copies(G, parent, rng, order), root)
-
-
-def conditional_sample(
-    G: MultiGraph,
-    include: Iterable[Sequence[int]],
-    exclude: Iterable[Sequence[int]],
-    seed: int,
-) -> SpanningTree:
-    """UST of G conditioned on include being present and exclude absent.
-
-    Realized through the spatial Markov property: delete the exclude set,
-    contract the include set, sample, and lift edges back through the
-    contraction.  Exclude entries follow delete() semantics: (u, v) removes
-    one parallel copy, (u, v, m) removes m.  An exclude set that names an
-    absent edge or a count below 1 raises ConditioningDisconnects; a
-    malformed entry raises MalformedEdge.
-    """
-    inc_u, inc_v, _counts = _edge_multiset(include)
-    include_pairs = list(zip(inc_u.tolist(), inc_v.tolist()))
-    # pairs are checked in order: the first absent or cycle-closing one raises
-    absent = np.flatnonzero(G.multiplicities(inc_u, inc_v) == 0)
-    first_absent = int(absent[0]) if len(absent) else len(include_pairs)
-
-    def is_forest(k: int) -> bool:
-        # k distinct pairs form a forest exactly when they leave n - k roots
-        roots = forest_roots(G.n, inc_u[:k], inc_v[:k])
-        return np.count_nonzero(roots == np.arange(G.n)) == G.n - k
-
-    if not is_forest(first_absent):
-        # the first pair that closes a cycle ends the shortest prefix that is no forest
-        forest, cyclic = 0, first_absent
-        while cyclic - forest > 1:
-            mid = (forest + cyclic) // 2
-            forest, cyclic = (mid, cyclic) if is_forest(mid) else (forest, mid)
-        u, v = include_pairs[cyclic - 1]
-        raise IncludeHasCycle(f"include set closes a cycle at ({u},{v})")
-    if len(absent):
-        u, v = include_pairs[first_absent]
-        raise ConditioningDisconnects(f"include edge ({u},{v}) not in graph")
-
-    try:
-        stripped = G.delete(exclude)
-    except (EdgeNotInGraph, ZeroMultiplicity) as exc:
-        raise ConditioningDisconnects(str(exc)) from exc
-    try:
-        quotient, vmap = stripped.contract(include_pairs)
-        qtree = wilson_sample(quotient, seed)
-    except EdgeNotInGraph as exc:
-        raise ConditioningDisconnects(f"every copy of an include edge is excluded: {exc}") from exc
-    except GraphDisconnected as exc:
-        raise ConditioningDisconnects("conditioning leaves no spanning tree") from exc
-
-    # the host pairs over one quotient pair, in host order, lift a quotient
-    # edge copy back to a host edge copy
-    qu, qv = vmap[stripped.u], vmap[stripped.v]
-    cross = np.flatnonzero(qu != qv)
-    qa, qb = np.minimum(qu[cross], qv[cross]), np.maximum(qu[cross], qv[cross])
-    lift: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    host = (stripped.u[cross], stripped.v[cross], stripped.mult[cross])
-    for a, b, u, v, m in zip(qa.tolist(), qb.tolist(), *(arr.tolist() for arr in host)):
-        lift.setdefault((a, b), []).append((u, v, m))
-    edges: list[tuple[int, int, int]] = [(u, v, 0) for (u, v) in include_pairs]
-    for (a, b, c) in qtree.edges:
-        offset = c
-        for (u, v, m) in lift[(a, b)]:
-            if offset < m:
-                edges.append((u, v, offset))
-                break
-            offset -= m
-    return SpanningTree(G.n, edges)

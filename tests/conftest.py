@@ -35,6 +35,16 @@ def two_cliques_matching(m):
     return MultiGraph.build(2 * m, edges)
 
 
+def without_copies(G, pairs):
+    """G less one parallel copy of each listed (u, v), which must be an edge of G."""
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    mult = G.mult.copy()
+    np.subtract.at(mult, np.searchsorted(G.u * G.n + G.v, np.minimum(a, b) * G.n + np.maximum(a, b)), 1)
+    assert (G.multiplicities(a, b) > 0).all() and (mult >= 0).all()
+    keep = mult > 0
+    return MultiGraph.from_arrays(G.n, G.u[keep], G.v[keep], mult[keep])
+
+
 def gnp(rng, n, p):
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(len(iu)) < p

@@ -7,20 +7,11 @@ forms of the edge-list writer and the CSR build.
 """
 import numpy as np
 
-from ustlocal.errors import EdgeNotInGraph, LoopEdge, VertexOutOfRange, ZeroMultiplicity
+from ustlocal.errors import LoopEdge, VertexOutOfRange, ZeroMultiplicity
 
 
 def _pair(u, v):
     return (u, v) if u < v else (v, u)
-
-
-def _counts(entries):
-    out = {}
-    for entry in entries:
-        u, v, m = entry if len(entry) == 3 else (*entry, 1)
-        key = _pair(int(u), int(v))
-        out[key] = out.get(key, 0) + int(m)
-    return out
 
 
 class DictGraph:
@@ -104,29 +95,6 @@ class DictGraph:
 
     def component_labels(self):
         return self._roots(self.mult)
-
-    def contract(self, S):
-        pairs = list(_counts(S))
-        for pair in pairs:
-            if self.multiplicity(*pair) == 0:
-                raise EdgeNotInGraph(pair)
-        vmap = self._roots(pairs)
-        mult = {}
-        for (u, v), m in self.mult.items():
-            if vmap[u] != vmap[v]:
-                key = _pair(vmap[u], vmap[v])
-                mult[key] = mult.get(key, 0) + m
-        return DictGraph(max(vmap, default=-1) + 1, mult), vmap
-
-    def delete(self, S):
-        mult = dict(self.mult)
-        for pair, m in _counts(S).items():
-            if mult.get(pair, 0) < m:
-                raise EdgeNotInGraph(pair)
-            mult[pair] -= m
-            if mult[pair] == 0:
-                del mult[pair]
-        return DictGraph(self.n, mult)
 
     def induced_subgraph(self, A):
         verts = sorted(set(A))

@@ -13,7 +13,7 @@ import scipy.stats
 
 import ustlocal as ul
 
-from conftest import gnp, random_connected_graph, random_connected_min_degree
+from conftest import gnp, random_connected_graph, random_connected_min_degree, without_copies
 from extremal_oracle import n_point_gradient_oracle
 from ust_oracle import enumerate_spanning_trees
 
@@ -334,7 +334,7 @@ def test_c14_invariant_suite():
         u, v = pairs[int(rng.integers(len(pairs)))]
         base = ul.effective_resistance(G, u, v)
         drop = pairs[int(rng.integers(len(pairs)))]
-        H = G.delete([drop])
+        H = without_copies(G, [drop])
         if not H.is_connected():
             continue
         deletions += 1

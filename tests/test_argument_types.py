@@ -1,8 +1,8 @@
-"""Seeds, sample counts, radii, edge entries, vertices, roots, degrees, bins and
-decomposition labels of the wrong type raise typed errors.
+"""Seeds, sample counts, radii, edge entries, vertices, roots, degrees, bins,
+pattern parents and decomposition labels of the wrong type raise typed errors.
 
 Each of these used to be cast (a float seed or vertex ran as its integer
-part, a count of 1.5 removed one copy) or escaped as a raw TypeError,
+part, an edge count of 1.5 built one copy) or escaped as a raw TypeError,
 ValueError or IndexError.
 """
 import numpy as np
@@ -12,8 +12,8 @@ from ustlocal.branching import root_ball_distribution_mc, root_degree_distributi
 from ustlocal.decompose import ExpanderDecomposition, trivial_decomposition
 from ustlocal.electric import LaplacianSystem, edge_ust_probability, effective_resistance
 from ustlocal.errors import (
-    ConditioningDisconnects,
     InvalidDegree,
+    InvalidVertices,
     MalformedEdge,
     ParameterOutOfRange,
     PartitionMismatch,
@@ -30,7 +30,7 @@ from ustlocal.graphon import constant_graphon, degree_profile_compare, sample_w_
 from ustlocal.multigraph import MAX_VERTICES, MultiGraph, complete_graph, cycle_graph, path_graph
 from ustlocal.rng import stream
 from ustlocal.trees import RootedTree, ball, local_census
-from ustlocal.ust import SpanningTree, aldous_broder_sample, conditional_sample, wilson_sample
+from ustlocal.ust import SpanningTree, aldous_broder_sample, wilson_sample
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None, -1])
@@ -78,28 +78,6 @@ def test_branching_takes_numpy_integer_radius_and_k_max():
     assert probs.tolist() == want_probs.tolist() and tail == want_tail
 
 
-@pytest.mark.parametrize("entry", [(0, 1, 1.5), (0, 1, True), (0, 1, "2"), (0.0, 1), (0, 1, 2, 3), (0,)])
-def test_malformed_edge_entries(entry):
-    K4 = complete_graph(4)
-    with pytest.raises(MalformedEdge):
-        K4.delete([entry])
-    with pytest.raises(MalformedEdge):
-        K4.contract([entry])
-    with pytest.raises(MalformedEdge):
-        conditional_sample(K4, [], [entry], seed=1)
-    with pytest.raises(MalformedEdge):
-        conditional_sample(K4, [entry], [], seed=1)
-
-
-def test_conditioning_errors_keep_their_class():
-    K4 = complete_graph(4)
-    with pytest.raises(ConditioningDisconnects):
-        conditional_sample(K4, [], [(0, 1, 2)], seed=1)  # more copies than the graph has
-    with pytest.raises(ConditioningDisconnects):
-        conditional_sample(K4, [], [(0, 1, 0)], seed=1)  # a count below 1
-    assert complete_graph(4).delete([(0, 1, np.int64(1))]).num_edges == 5
-
-
 @pytest.mark.parametrize("n,entry", [(2, (0, 1, 1.5)), (3, (0.5, 1.7, 1)), (2, (0, 1, True)),
                                      (2, (0, 1, "2")), (2, (0, 1, 2, 3)), (2, (0,))])
 def test_build_rejects_malformed_entries(n, entry):
@@ -114,6 +92,19 @@ def test_build_takes_numpy_integer_entries():
 
 
 CHERRY = RootedTree([-1, 0, 0])
+
+
+@pytest.mark.parametrize("parent", [[-1, 0.5, 0.5], [-1, 0.0, 0.0], [-1, "0", "0"], [-1, True],
+                                    [-1.0, 0, 0], np.array([-1.0, 0.0, 0.0])])
+def test_rooted_tree_rejects_non_integer_parents(parent):
+    # an int() cast read 0.5 and "0" as 0, so the first was the cherry, and True as 1, a cycle
+    with pytest.raises(InvalidVertices, match="is not an integer in"):
+        RootedTree(parent)
+
+
+def test_rooted_tree_takes_numpy_integer_parents():
+    assert RootedTree(np.array([-1, 0, 0])).canonical_code() == CHERRY.canonical_code()
+    assert RootedTree([np.int8(-1), np.uint8(0), np.int64(0)]).parent == CHERRY.parent
 
 
 @pytest.mark.parametrize("vertices", [[0.5], [2.9, 1], [True], np.array([0.5]),

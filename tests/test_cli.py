@@ -374,12 +374,29 @@ def test_malformed_decomposition_exit_code(workdir, capsys, text):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
 
 
-@pytest.mark.parametrize("text", ['{"mu": 1.0, "W": [[1.0]]}', '{"mu": ["x"], "W": [[1.0]]}'])
+@pytest.mark.parametrize("text", [
+    '{"mu": 1.0, "W": [[1.0]]}',
+    '{"mu": ["x"], "W": [[1.0]]}',
+    # a float64 cast read true as 1 and "1" as 1, and an integer past float range escaped
+    '{"mu": [true], "W": [[true]]}',
+    '{"mu": [1], "W": [["1"]]}',
+    '{"mu": [1%s], "W": [[1]]}' % ("0" * 400),
+])
 def test_unusable_graphon_values_exit_code(workdir, capsys, text):
     graphon = workdir / "bad.json"
     graphon.write_text(text)
     assert main(["freq", "--pattern", str(workdir / "edge.json"), "--graphon", str(graphon)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
+
+
+@pytest.mark.parametrize("parent", ["[-1, 0.5, 0.5]", '[-1, "0", "0"]', "[-1, true]"])
+def test_non_integer_pattern_parent_exit_code(workdir, capsys, parent):
+    # an int() cast read the first as the cherry and exited 0 with its value
+    pattern = workdir / "bad.json"
+    pattern.write_text(f'{{"parent": {parent}}}')
+    assert main(["freq", "--pattern", str(pattern), "--graphon", str(workdir / "const1.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "InvalidVertices"
 
 
 def test_zero_gen_size_exit_code(workdir, capsys):

@@ -135,8 +135,9 @@ def test_freq_graphon_guards():
         freq_graphon(RootedTree([-1]), W1)
     big = StepGraphon(np.full(4, 0.25), np.full((4, 4), 0.5))
     chain = RootedTree([-1] + list(range(11)))
+    # 4^12 block assignments exceed ASSIGNMENT_CAP
     with pytest.raises(PatternTooLarge):
-        freq_graphon(chain, big, assignment_cap=1000)
+        freq_graphon(chain, big)
 
 
 def test_probability_completeness_w1_radius1():

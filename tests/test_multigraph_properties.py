@@ -204,46 +204,6 @@ def test_induced_subgraph_matches_oracle(graph, data):
 
 
 @PROPERTY
-@given(multigraphs(), st.data())
-def test_contract_matches_oracle(graph, data):
-    G, D = _both(*graph)
-    pairs = G.edge_pairs()
-    picks = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
-    # reversed orientations and repeats must not matter
-    S = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(picks)]
-    H, vmap = G.contract(S)
-    ref, ref_vmap = D.contract(S)
-    assert same_graph(H, ref) and vmap.tolist() == ref_vmap
-
-
-@PROPERTY
-@given(multigraphs(density=4.0), st.data())
-def test_contract_with_cycles_matches_oracle(graph, data):
-    # every edge inside a drawn vertex set, so S closes cycles whenever that
-    # set spans one; then any further edges, in drawn order
-    G, D = _both(*graph)
-    inside = set(_subset(data.draw, G.n))
-    S = [(u, v) for (u, v) in G.edge_pairs() if u in inside and v in inside]
-    pairs = G.edge_pairs()
-    S += data.draw(st.permutations(pairs))[:data.draw(st.integers(0, len(pairs)))]
-    H, vmap = G.contract(S)
-    ref, ref_vmap = D.contract(S)
-    assert same_graph(H, ref) and vmap.tolist() == ref_vmap
-
-
-@PROPERTY
-@given(multigraphs(), st.data())
-def test_delete_matches_oracle(graph, data):
-    G, D = _both(*graph)
-    removals = [
-        (u, v, data.draw(st.integers(1, m)))
-        for (u, v, m) in G.edges()
-        if data.draw(st.booleans())
-    ]
-    assert same_graph(G.delete(removals), D.delete(removals))
-
-
-@PROPERTY
 @given(
     st.integers(1, 6),
     st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.integers(-1, 2)), max_size=6),
@@ -257,22 +217,6 @@ def test_build_errors_match_oracle(n, entries):
             outcomes.append(type(exc))
     got, ref = outcomes
     assert (list(got) if not isinstance(got, type) else got) == ref
-
-
-@PROPERTY
-@given(multigraphs(), st.data())
-def test_edit_errors_match_oracle(graph, data):
-    G, D = _both(*graph)
-    S = data.draw(st.lists(st.tuples(st.integers(0, G.n - 1), st.integers(0, G.n - 1),
-                                     st.integers(1, 4)), max_size=4))
-    for op in ("contract", "delete"):
-        try:
-            getattr(D, op)(S)
-        except UstlocalError as exc:
-            with pytest.raises(type(exc)):
-                getattr(G, op)(S)
-        else:
-            getattr(G, op)(S)
 
 
 @PROPERTY

@@ -57,7 +57,7 @@ def test_escape_probability_identity(rng):
         u, v = 0, n - 1
         p = hitting_before_return_exact(G, u, u, v)
         r = effective_resistance(G, u, v)
-        assert p * G.degree(u) * r == pytest.approx(1.0, abs=1e-9)
+        assert p * G.degrees[u] * r == pytest.approx(1.0, abs=1e-9)
 
 
 def _mc_matches_exact(rng, max_mult, seeds):

@@ -5,29 +5,25 @@ samplers: one `_step` call and one buffered uniform per walk step, and the
 tree built from its (u, v, copy) edge list.  The library samplers must
 return the same trees, copies included.
 
-The earlier form of `ustlocal.ust.conditional_sample`, which built its own
-quotient graph, and `enumerate_spanning_trees`, the exhaustive
-deletion-contraction enumerator, which the library no longer carries: the
-Kirchhoff, uniformity and tree-count tests read their exact tree sets from
-it.  They carry their own union-finds and walk with the Wilson sampler
-above, so that they share no graph code with the library beyond
-`MultiGraph` and `SpanningTree` themselves.
+`enumerate_spanning_trees` is the exhaustive deletion-contraction
+enumerator, which the library no longer carries: the Kirchhoff, uniformity
+and tree-count tests read their exact tree sets from it.  It carries its
+own union-find, so that it shares no graph code with the library beyond
+`MultiGraph`, `SpanningTree` and the log tree count of its budget check,
+and refuses graphs past its budget with its own `TooManyTrees`.
 """
 import math
 
 import numpy as np
 
 from ustlocal.electric import log_spanning_tree_count
-from ustlocal.errors import (
-    ConditioningDisconnects,
-    GraphDisconnected,
-    IncludeHasCycle,
-    TooManyTrees,
-    VertexOutOfRange,
-)
-from ustlocal.multigraph import MultiGraph, _edge_multiset
+from ustlocal.errors import BudgetError, GraphDisconnected, VertexOutOfRange
 from ustlocal.rng import stream
 from ustlocal.ust import SpanningTree
+
+
+class TooManyTrees(BudgetError):
+    """More spanning trees than `enumerate_spanning_trees` will list."""
 
 
 class _Uniforms:
@@ -117,76 +113,6 @@ def aldous_broder_sample(G, seed, root=0):
             pairs.append((nxt, cur))
         cur = nxt
     return SpanningTree(G.n, _assign_copies(G, pairs, rng))
-
-
-def _forest_prefix(n, pairs):
-    """Join the pairs in order while they form a forest; stop at the first cycle.
-
-    Returns each vertex's root (its tree's smallest vertex) and the number
-    of pairs joined.
-    """
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    joined = 0
-    for (u, v) in pairs:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            break
-        parent[max(ru, rv)] = min(ru, rv)
-        joined += 1
-    return [find(x) for x in range(n)], joined
-
-
-def conditional_sample(G, include, exclude, seed):
-    """UST of G given include present and exclude absent, on a hand-built quotient."""
-    inc_u, inc_v, _counts = _edge_multiset(include)
-    include_pairs = list(zip(inc_u.tolist(), inc_v.tolist()))
-    absent = np.flatnonzero(G.multiplicities(inc_u, inc_v) == 0)
-    first_absent = int(absent[0]) if len(absent) else len(include_pairs)
-    roots, joined = _forest_prefix(G.n, include_pairs[:first_absent])
-    if joined < first_absent:
-        u, v = include_pairs[joined]
-        raise IncludeHasCycle(f"include set closes a cycle at ({u},{v})")
-    if len(absent):
-        u, v = include_pairs[first_absent]
-        raise ConditioningDisconnects(f"include edge ({u},{v}) not in graph")
-    tree_roots, vmap = np.unique(np.array(roots, dtype=np.int64), return_inverse=True)
-
-    try:
-        stripped = G.delete(exclude)
-    except Exception as exc:  # noqa: BLE001 - surface as a conditioning failure
-        raise ConditioningDisconnects(str(exc)) from exc
-    gone = np.flatnonzero(stripped.multiplicities(inc_u, inc_v) == 0)
-    if len(gone):
-        u, v = include_pairs[int(gone[0])]
-        raise ConditioningDisconnects(f"every copy of include edge ({u},{v}) is excluded")
-
-    qu, qv = vmap[stripped.u], vmap[stripped.v]
-    cross = np.flatnonzero(qu != qv)
-    qa, qb = np.minimum(qu[cross], qv[cross]), np.maximum(qu[cross], qv[cross])
-    quotient = MultiGraph.from_arrays(len(tree_roots), qa, qb, stripped.mult[cross])
-    if not quotient.is_connected():
-        raise ConditioningDisconnects("conditioning leaves no spanning tree")
-    lift = {}
-    host = (stripped.u[cross], stripped.v[cross], stripped.mult[cross])
-    for a, b, u, v, m in zip(qa.tolist(), qb.tolist(), *(arr.tolist() for arr in host)):
-        lift.setdefault((a, b), []).append((u, v, m))
-
-    qtree = wilson_sample(quotient, seed)
-    edges = [(u, v, 0) for (u, v) in include_pairs]
-    for (a, b, c) in qtree.edges:
-        offset = c
-        for (u, v, m) in lift[(a, b)]:
-            if offset < m:
-                edges.append((u, v, offset))
-                break
-            offset -= m
-    return SpanningTree(G.n, edges)
 
 
 def enumerate_spanning_trees(G, max_trees=10**6):
