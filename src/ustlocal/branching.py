@@ -16,9 +16,7 @@ import numpy as np
 from .errors import ParameterOutOfRange, is_integer
 from .graphon import StepGraphon
 from .rng import sample_count, stream
-from .trees import CodeInterner, _intern_generation
-
-_CHUNK_ROWS = 1 << 16  # parents per Poisson call; bounds its (rows, k) rates and counts
+from .trees import _CHUNK_ROWS, CodeInterner, _intern_generation
 
 
 def _offspring_rates(g: StepGraphon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -41,25 +39,28 @@ def _sample_generations(
     them.  Each parent's children come as one run in the generation below,
     its ancestral child (if any) first, so the counts alone place every
     particle.  Generation r is only counted: its particles are leaves of
-    every ball, and its uniforms are drawn in chunks only to advance the
-    stream.
+    every ball.
 
-    Working memory is O(P) narrow per-particle arrays (uint8 blocks for up
-    to 256 blocks, int8 counts while they fit) and the positions of the
-    ancestral particles, plus one (chunk x k) block of Poisson rates and
-    counts: never a (P, k) matrix.  The parents are walked `_CHUNK_ROWS`
-    rows at a time with one `poisson` call each; taken in row order, these
-    calls draw the counts that one call over all P rows draws and leave
-    the stream where it would.
+    Every draw is made `_CHUNK_ROWS` rows at a time, in row order: the root
+    blocks, each generation's ancestral uniforms (all of them before that
+    generation's Poisson counts) and the Poisson counts, one call per chunk
+    of parents.  Taken in order, these calls draw what one call over all
+    rows draws and leave the stream where it would.  Working memory is a
+    few narrow arrays per particle (uint8 blocks for up to 256 blocks, a
+    bool mask of the ancestral particles, int8 counts while they fit) plus
+    one chunk's rates, counts and offsets: no wide array as long as a
+    generation.
     """
     oth_rate, anc_cum, mu_cum = _offspring_rates(g)
     k = g.k
     block = np.min_scalar_type(k - 1)
     rows = _CHUNK_ROWS
-    cur = np.minimum(
-        np.searchsorted(mu_cum, rng.random(samples), side="right"), k - 1
-    ).astype(block)
-    anc_idx = np.arange(samples)  # ancestral particle position inside its generation
+    cur = np.empty(samples, dtype=block)
+    for lo in range(0, samples, rows):
+        cur[lo:lo + rows] = np.minimum(
+            np.searchsorted(mu_cum, rng.random(min(rows, samples - lo)), side="right"), k - 1
+        )
+    is_anc = np.ones(samples, dtype=bool)  # one ancestral particle per sample, in sample order
     block_ids = np.tile(np.arange(k, dtype=block), rows)  # the block of each of a chunk's counts
     gen_counts: list[np.ndarray] = []
     for depth in range(1, r + 1):
@@ -68,55 +69,60 @@ def _sample_generations(
             for lo in range(0, samples, rows):
                 rng.random(min(rows, samples - lo))
         else:
-            u = rng.random(samples)
-            # room for the Poisson total of other children plus eight of its
-            # standard deviations; a larger total grows the buffer
-            mean = float(np.bincount(cur, minlength=k) @ oth_rate.sum(axis=1))
-            oth_block = np.empty(int(mean + 8.0 * math.sqrt(mean)) + k, dtype=block)
-            off = 0
+            # the ancestral child's block: count the thresholds below u,
+            # leaving out the last one, since rounding can end a cumulative
+            # row below 1.0, and a u above it is block k - 1
+            anc_block = cur[is_anc]
+            anc_child_block = np.zeros(samples, dtype=block)
+            for lo in range(0, samples, rows):
+                u = rng.random(min(rows, samples - lo))
+                cum = anc_cum[anc_block[lo:lo + rows]]
+                for j in range(k - 1):
+                    anc_child_block[lo:lo + rows] += u > cum[:, j]
+            del anc_block
+            # room for the ancestral children and the Poisson total of other
+            # children plus eight of its standard deviations; a larger total
+            # grows the buffers
+            per_block = sum(np.bincount(cur[lo:lo + rows], minlength=k) for lo in range(0, len(cur), rows))
+            mean = float(per_block @ oth_rate.sum(axis=1))
+            room = samples + int(mean + 8.0 * math.sqrt(mean)) + k
+            nxt = np.empty(room, dtype=block)
+            nxt_anc = np.empty(room, dtype=bool)
+            off = alo = 0
         per_parent = np.empty(len(cur), dtype=np.int8)
-        alo = 0
         for lo in range(0, len(cur), rows):
             hi = min(lo + rows, len(cur))
             counts = rng.poisson(np.take(oth_rate, cur[lo:hi], axis=0))  # (chunk, k)
+            anc = is_anc[lo:hi]
             tot = counts[:, 0].copy()
             for j in range(1, k):
                 tot += counts[:, j]
-            ahi = int(np.searchsorted(anc_idx, hi))  # the chunk's ancestral parents
-            tot[anc_idx[alo:ahi] - lo] += 1
+            tot += anc
             top = int(tot.max())
             if top > np.iinfo(per_parent.dtype).max:
                 per_parent = per_parent.astype(np.min_scalar_type(-top - 1))  # signed, holds top
             per_parent[lo:hi] = tot
             if not last:
-                n = int(counts.sum())
-                if off + n > len(oth_block):
-                    oth_block = np.concatenate([oth_block[:off], np.empty(off + n, dtype=block)])
-                oth_block[off:off + n] = np.repeat(block_ids[:counts.size], counts.reshape(-1))
+                # each parent lists its ancestral child (if any) first, then
+                # its others by block
+                n = int(tot.sum())
+                if off + n > len(nxt):
+                    nxt = np.concatenate([nxt[:off], np.empty(off + n, dtype=block)])
+                    nxt_anc = np.concatenate([nxt_anc[:off], np.empty(off + n, dtype=bool)])
+                seg, seg_anc = nxt[off:off + n], nxt_anc[off:off + n]
+                seg_anc[:] = False
+                seg_anc[(np.cumsum(tot) - tot)[anc]] = True
+                ahi = alo + int(np.count_nonzero(anc))
+                seg[seg_anc] = anc_child_block[alo:ahi]
+                seg[~seg_anc] = np.repeat(block_ids[:counts.size], counts.reshape(-1))
                 off += n
-            alo = ahi
+                alo = ahi
+            del counts, tot  # before the next chunk's draw
         gen_counts.append(per_parent)
         if last:
             break
-        # count the thresholds below u, leaving out the last one: rounding
-        # can end a cumulative row below 1.0, and a u above it is block k - 1
-        anc_block = cur[anc_idx]
-        anc_child_block = np.zeros(samples, dtype=block)
-        for j in range(k - 1):
-            anc_child_block += u > anc_cum[anc_block, j]
-        del u, anc_block
-        # each parent lists its ancestral child (if any) first, then its
-        # others by block; anc_idx rises with the sample id, and so does the
-        # position of each ancestral child in the new generation
-        starts = np.cumsum(per_parent, dtype=np.int64) - per_parent
-        anc_idx = starts[anc_idx]
-        del starts
-        cur = np.empty(off + samples, dtype=block)
-        is_other = np.ones(len(cur), dtype=bool)
-        is_other[anc_idx] = False
-        cur[anc_idx] = anc_child_block
-        cur[is_other] = oth_block[:off]
-        del is_other, oth_block, anc_child_block
+        cur, is_anc = nxt[:off], nxt_anc[:off]
+        del nxt, nxt_anc, anc_child_block
     return gen_counts
 
 
@@ -138,7 +144,9 @@ def root_ball_distribution_mc(
         codes = _intern_generation(interner, gen_counts.pop(), codes)
 
     out = {}
-    tally = np.bincount(codes)
+    tally = np.zeros(len(interner.children), dtype=np.int64)
+    for lo in range(0, samples, _CHUNK_ROWS):
+        tally += np.bincount(codes[lo:lo + _CHUNK_ROWS], minlength=len(tally))
     for cid in np.flatnonzero(tally).tolist():
         p = int(tally[cid]) / samples
         out[interner.to_code(cid)] = (p, math.sqrt(p * (1.0 - p) / samples))

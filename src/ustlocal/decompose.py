@@ -142,7 +142,11 @@ class ExpanderDecomposition:
         with malformed_json("decomposition"):
             data = json.loads(text)
             raw = data["labels"]
-            params = {key: float(data[key]) for key in ("gamma", "eta", "eps")}
+            params = {key: data[key] for key in ("gamma", "eta", "eps")}
+            # JSON numbers only: a cast to float would read "0.5" as 0.5 and true as 1
+            if not all(type(x) in (int, float) for x in params.values()):
+                raise ConfigParse("decomposition 'gamma', 'eta' and 'eps' must be JSON numbers")
+            params = {key: float(x) for key, x in params.items()}
         # JSON integers only: a cast to int64 would read 1.5, "1" or true as 1
         if not isinstance(raw, list) or not all(type(x) is int and 0 <= x < 2**63 for x in raw):
             raise ConfigParse("decomposition 'labels' must be a list of integer part indices >= 0")

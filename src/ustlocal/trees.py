@@ -10,8 +10,8 @@ ids, and string codes are made from ids only when asked for, in id order.
 `RootedTree`, `local_census` and the branching Monte Carlo all intern
 through it; stabilizer sizes count equal child ids.  `_intern_generation`
 is its array form, one level at a time: rows of child ids in, ids out,
-each distinct row interned once.  The census and the branching Monte Carlo
-both run on it.
+each distinct row of a chunk of parents interned once.  The census and the
+branching Monte Carlo both run on it.
 
 `local_census` is one rerooting pass over a spanning tree's parent array,
 rooted where the tree is rooted.  For h < r it keeps two ids per vertex:
@@ -33,6 +33,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidVertices, PartitionMismatch, VertexOutOfRange, is_integer, malformed_json
+
+_CHUNK_ROWS = 1 << 16  # parents per chunk of the branching draws and of `_intern_generation`
 
 
 class CodeInterner:
@@ -80,11 +82,33 @@ def _intern_generation(
 
     `child_codes` lists the children parent by parent; None means every child
     is a leaf (id 0), so a parent's ball is a star and its id depends on its
-    child count alone.  Otherwise parents are bucketed by child count L, so
-    each bucket is an exact (m_L, L) matrix of sorted child ids.  `intern`
-    runs once per distinct row, in order of the row's first parent, which
-    gives the ids that interning parent by parent gives.  Childless parents
-    get 0.
+    child count alone.  The parents are taken `_CHUNK_ROWS` at a time, in
+    parent order; a row interned in an earlier chunk keeps its id, so ids
+    follow each row's first parent, as interning parent by parent gives.
+    The ids come in the narrowest unsigned type that holds every id of
+    `interner` once this generation is in; childless parents get 0.
+    """
+    out = np.empty(len(counts), dtype=np.min_scalar_type(len(interner.children) - 1))
+    at = 0  # the first child of the chunk's first parent
+    for lo in range(0, len(counts), _CHUNK_ROWS):
+        chunk = counts[lo:lo + _CHUNK_ROWS]
+        n = int(chunk.sum())
+        ids = _intern_chunk(interner, chunk, None if child_codes is None else child_codes[at:at + n])
+        at += n
+        if ids.dtype.itemsize > out.dtype.itemsize:
+            out = out.astype(ids.dtype)
+        out[lo:lo + len(chunk)] = ids
+    return out
+
+
+def _intern_chunk(
+    interner: CodeInterner, counts: np.ndarray, child_codes: np.ndarray | None
+) -> np.ndarray:
+    """`_intern_generation` on one chunk of parents.
+
+    Parents are bucketed by child count L, so each bucket is an exact
+    (m_L, L) matrix of sorted child ids.  `intern` runs once per distinct
+    row, in order of the row's first parent.
     """
     by_count = np.bincount(counts)
     if child_codes is None:

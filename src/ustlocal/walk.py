@@ -62,13 +62,18 @@ def _lazy_lambda2(G: MultiGraph, lazy: _Lazy | None = None) -> float:
     return float(scipy.linalg.eigvalsh(M)[-2])
 
 
+_SIGN_TIE = 1e-9  # relative gap below which two Fiedler magnitudes tie for the sign
+
+
 def _fiedler_vector(G: MultiGraph, lazy: _Lazy | None = None) -> np.ndarray:
     """Eigenvector for lambda_2 of the lazy chain, in walk coordinates.
 
     Only the top two eigenpairs of the symmetrized matrix are computed, and
-    the lambda_2 vector is the first of them; the entry of largest
-    magnitude is made positive.  `lazy` is `_lazy_walk_matrix(G)` when the
-    caller already holds it.
+    the lambda_2 vector is the first of them.  Its sign makes the smallest
+    vertex of largest magnitude positive, where magnitudes within a relative
+    `_SIGN_TIE` of the largest count as largest, so that a tie between
+    opposite signs (the two ends of a path) is not decided by rounding.
+    `lazy` is `_lazy_walk_matrix(G)` when the caller already holds it.
     """
     import scipy.linalg
 
@@ -84,7 +89,8 @@ def _fiedler_vector(G: MultiGraph, lazy: _Lazy | None = None) -> np.ndarray:
         # the full eigh of the same matrix stands in
         vecs = scipy.linalg.eigh(M)[1][:, -2:]
     y = vecs[:, 0] * inv_sqrt
-    pivot = int(np.argmax(np.abs(y)))
+    mag = np.abs(y)
+    pivot = int(np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max()))
     if y[pivot] < 0:
         y = -y
     return y

@@ -1,4 +1,6 @@
-"""Shared generators for seeded random test instances."""
+"""Shared generators for seeded random test instances, and a memory probe."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,20 @@ def gnp(rng, n, p):
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(len(iu)) < p
     return MultiGraph.build(n, [(int(u), int(v), 1) for u, v in zip(iu[keep], ju[keep])])
+
+
+def traced_peak_mb(fn, *args):
+    """Peak traced memory while `fn(*args)` runs, in MB of 10^6 bytes.
+
+    numpy reports its array buffers to `tracemalloc`, so this is the peak of
+    the arrays and Python objects the call holds at once.
+    """
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

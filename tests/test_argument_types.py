@@ -12,6 +12,7 @@ from ustlocal.branching import root_ball_distribution_mc, root_degree_distributi
 from ustlocal.decompose import ExpanderDecomposition, trivial_decomposition
 from ustlocal.electric import LaplacianSystem, edge_ust_probability, effective_resistance
 from ustlocal.errors import (
+    ConfigParse,
     InvalidDegree,
     InvalidVertices,
     MalformedEdge,
@@ -271,6 +272,22 @@ def test_decomposition_labels_take_numpy_integers():
     for labels in ([np.int32(1), 1, 0], np.array([1, 1, 0], dtype=np.uint8)):
         dec = ExpanderDecomposition(labels, 0.1, 0.1, 0.1)
         assert dec.labels.dtype == np.int64 and dec.labels.tolist() == [1, 1, 0]
+
+
+@pytest.mark.parametrize("key", ["gamma", "eta", "eps"])
+@pytest.mark.parametrize("value", ['"0.5"', "true", "false", "null", "[0.5]"])
+def test_decomposition_parameters_reject_non_numbers(key, value):
+    # a float cast read "0.5" as 0.5 and true as 1.0
+    params = {"gamma": "0.5", "eta": "0.5", "eps": "0.1", key: value}
+    text = '{"labels": [1, 1, 0], ' + ", ".join(f'"{k}": {v}' for k, v in params.items()) + "}"
+    with pytest.raises(ConfigParse):
+        ExpanderDecomposition.from_json(text)
+
+
+def test_decomposition_parameters_take_json_integers():
+    dec = ExpanderDecomposition.from_json('{"labels": [1, 1, 0], "gamma": 0, "eta": 1, "eps": 0.5}')
+    assert (dec.gamma, dec.eta, dec.eps) == (0.0, 1.0, 0.5)
+    assert all(type(x) is float for x in (dec.gamma, dec.eta, dec.eps))
 
 
 @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])

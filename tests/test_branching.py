@@ -1,12 +1,11 @@
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from ustlocal import branching
+from ustlocal import branching, trees
 from ustlocal.branching import root_ball_distribution_mc, root_degree_distribution
 from ustlocal.errors import DegenerateGraphon, ParameterOutOfRange
 from ustlocal.graphon import StepGraphon, constant_graphon
@@ -19,6 +18,7 @@ from branching_oracle import (
     sample_kappa,
     sample_kappa_particles,
 )
+from conftest import traced_peak_mb
 
 
 W1 = constant_graphon(1.0)
@@ -176,13 +176,28 @@ def test_mc_matches_oracle_pipeline(g, r, samples, seed):
     assert list(root_ball_distribution_mc(g, r, samples, seed).items()) == want
 
 
+class _Uniforms:
+    """The stream of a seed, keeping the size of every uniform draw."""
+
+    def __init__(self, seed):
+        self.rng = stream(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+    def poisson(self, lam):
+        return self.rng.poisson(lam)
+
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("g", [W2, W_BALL])
 def test_generations_do_not_depend_on_the_chunk(monkeypatch, g, r):
-    # the oracle draws each generation's Poisson counts in one call; chunked
-    # calls in row order must give the same counts and leave the stream at
-    # the same place
+    # the oracle draws the root blocks, and each generation's ancestral
+    # uniforms and then its Poisson counts, in one call each; chunked calls
+    # in row order must give the same counts and leave the stream at the
+    # same place
     samples, seed = 300, 23
     rng = stream(seed)
     sizes, parents = sample_generations_oracle(g, r, samples, rng)
@@ -190,12 +205,45 @@ def test_generations_do_not_depend_on_the_chunk(monkeypatch, g, r):
     want_next = rng.random(4)
     for rows in (1, 7, branching._CHUNK_ROWS):
         monkeypatch.setattr(branching, "_CHUNK_ROWS", rows)
-        rng = stream(seed)
+        rng = _Uniforms(seed)
         got = branching._sample_generations(g, r, samples, rng)
         assert len(got) == r
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(rng.random(4), want_next)
+        # the roots, then one draw of `samples` uniforms per generation
+        assert rng.sizes == [min(rows, samples - lo) for lo in range(0, samples, rows)] * (r + 1)
+        np.testing.assert_array_equal(rng.rng.random(4), want_next)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, trees._CHUNK_ROWS])
+def test_interning_does_not_depend_on_the_chunk(monkeypatch, rows):
+    # a row interned in an earlier chunk keeps its id, so chunked interning
+    # gives the ids of interning parent by parent and leaves the interner in
+    # the same state; the interner starts with 251 stars, so its ids outgrow
+    # uint8 partway through a generation
+    gens = branching._sample_generations(W_BALL, 3, 400, stream(17))
+    monkeypatch.setattr(trees, "_CHUNK_ROWS", rows)
+    fast, slow = CodeInterner(), CodeInterner()
+    for L in range(1, 251):
+        fast.intern((0,) * L)
+        slow.intern((0,) * L)
+    got = want = None  # the leaves first, then rows of child ids
+    while gens:
+        counts = gens.pop()
+        got = trees._intern_generation(fast, counts, got)
+        want = intern_generation_oracle(slow, counts, want)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.min_scalar_type(len(fast.children) - 1)
+        assert (fast.ids, fast.children, fast.sizes) == (slow.ids, slow.children, slow.sizes)
+    assert len(fast.children) > 256
+
+
+def test_mc_does_not_depend_on_the_chunk(monkeypatch):
+    want = list(root_ball_distribution_mc(W_BALL, 3, 500, 29).items())
+    for rows in (1, 7):
+        monkeypatch.setattr(branching, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(trees, "_CHUNK_ROWS", rows)
+        assert list(root_ball_distribution_mc(W_BALL, 3, 500, 29).items()) == want
 
 
 class _ManyOthers:
@@ -223,17 +271,19 @@ def test_generations_with_counts_past_the_narrow_type(monkeypatch):
 
 
 def test_mc_memory_per_sample():
-    # the ball_law workload's graphon at depth 2: about 46 bytes per sample
-    # with row-chunked draws and narrow ids, 136 with (P, k) rate and count
-    # matrices and int64 ids
+    # the ball_law workload's graphon at depth 2: about 29 bytes per sample,
+    # most of it one chunk's buffers, with chunked draws and interning; 136
+    # with (P, k) rate and count matrices and int64 ids
     samples = 200_000
-    tracemalloc.start()
-    try:
-        root_ball_distribution_mc(W_BALL, 2, samples, seed=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / samples <= 70.0
+    assert traced_peak_mb(root_ball_distribution_mc, W_BALL, 2, samples, 8) * 1e6 / samples <= 70.0
+
+
+def test_mc_memory_at_the_ball_law_size():
+    # the ball_law workload's 10^6 samples at depth 2 peak near 12 MB traced:
+    # a few narrow arrays per particle and one chunk's buffers; 40 MB when
+    # the uniforms, the ancestral positions and the interner's offsets and
+    # orders were float64 and int64 arrays as long as a generation
+    assert traced_peak_mb(root_ball_distribution_mc, W_BALL, 2, 1_000_000, 8) < 16.0
 
 class _TopDraws:
     """Every uniform draw is the largest double below 1, and no other children."""

@@ -553,6 +553,19 @@ def test_non_integer_decomposition_labels_exit_code(workdir, capsys, label):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
 
 
+@pytest.mark.parametrize("params", ['"gamma": "0.5", "eta": 0.5, "eps": 0.1',
+                                    '"gamma": 0.5, "eta": true, "eps": 0.1',
+                                    '"gamma": 0.5, "eta": 0.5, "eps": null'])
+def test_non_number_decomposition_parameters_exit_code(workdir, capsys, params):
+    # a float cast read "0.5" as 0.5 and true as 1.0, and freq ran with them
+    dec = workdir / "dec.json"
+    dec.write_text(f'{{"labels": [1, 1, 1, 1, 1, 1, 1, 1], {params}}}')
+    code = main(["freq", "--pattern", str(workdir / "edge.json"),
+                 "--graph", str(workdir / "k8.txt"), "--decomp", str(dec)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
+
+
 def _scipy_modules_after(code):
     """The scipy modules loaded in a fresh interpreter after running code."""
     probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

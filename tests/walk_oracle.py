@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ustlocal.rng import stream
-from ustlocal.walk import _check_hitting_args, _lazy_walk_matrix
+from ustlocal.walk import _SIGN_TIE, _check_hitting_args, _lazy_walk_matrix
 
 
 def hitting_before_return_lockstep(G, w, u, v, samples, seed):
@@ -40,7 +40,9 @@ def fiedler_vector_full(G):
     M, inv_sqrt = _lazy_walk_matrix(G)
     _vals, vecs = scipy.linalg.eigh(M)
     y = vecs[:, -2] * inv_sqrt
-    pivot = int(np.argmax(np.abs(y)))
+    # the first vertex whose magnitude ties with the largest is made positive
+    mag = np.abs(y)
+    pivot = int(np.flatnonzero(mag >= (1.0 - _SIGN_TIE) * mag.max())[0])
     return -y if y[pivot] < 0 else y
 
 
