@@ -52,7 +52,7 @@ from .trees import (
     enumerate_rooted_trees,
     local_census,
 )
-from .ust import SpanningTree, aldous_broder_sample, wilson_sample
+from .ust import SpanningTree, wilson_sample
 from .walk import (
     WalkProfile,
     hitting_before_return_exact,

@@ -77,10 +77,9 @@ def _cmd_ust(args) -> None:
     if args.samples < 1:
         raise ParameterOutOfRange("samples must be >= 1")
     G = read_edge_list(args.graph)
-    sampler = ust.aldous_broder_sample if args.sampler == "aldous-broder" else ust.wilson_sample
 
     def one(i: int) -> str:
-        tree = sampler(G, _derive(args.seed, i))
+        tree = ust.wilson_sample(G, _derive(args.seed, i))
         degs = trees.degree_counts(tree)
         census = trees.local_census(tree, args.radius)
         record = {
@@ -196,17 +195,15 @@ _COMMANDS = {
 }
 
 
-# The options of each subcommand, flag -> (type, default); a tuple in place of
-# the type lists the allowed strings.  Options whose default is _REQUIRED come
-# first, in the order `_require` reports them.  Every subcommand also takes
-# --config, which `_parse` reads.
+# The options of each subcommand, flag -> (type, default).  Options whose
+# default is _REQUIRED come first, in the order `_require` reports them.
+# Every subcommand also takes --config, which `_parse` reads.
 _REQUIRED = object()
 _OPTIONS = {
     "gen": {"graphon": (str, _REQUIRED), "n": (int, _REQUIRED), "seed": (int, _REQUIRED),
             "out": (str, _REQUIRED)},
     "ust": {"graph": (str, _REQUIRED), "samples": (int, _REQUIRED), "seed": (int, _REQUIRED),
-            "radius": (int, 1), "sampler": (("wilson", "aldous-broder"), "wilson"),
-            "threads": (int, None), "out": (str, None)},
+            "radius": (int, 1), "threads": (int, None), "out": (str, None)},
     "freq": {"pattern": (str, _REQUIRED), "graphon": (str, None), "graph": (str, None),
              "decomp": (str, None), "alpha": (float, 0.001), "eps": (float, 0.05),
              "out": (str, None)},
@@ -231,9 +228,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None)
         for flag, (kind, default) in options.items():
-            choices = kind if isinstance(kind, tuple) else None
-            p.add_argument(f"--{flag}", type=str if choices else kind, choices=choices,
-                           default=None if default is _REQUIRED else default)
+            p.add_argument(f"--{flag}", type=kind, default=None if default is _REQUIRED else default)
     return parser, sub.choices
 
 
@@ -255,12 +250,9 @@ def _config_defaults(path: str, command: str, sub: argparse.ArgumentParser) -> d
         if action is None:
             raise ConfigParse(f"unknown config key '{key}' in section [{command}]")
         try:
-            value = action.type(raw) if action.type else raw
+            defaults[action.dest] = action.type(raw)
         except ValueError as exc:
             raise ConfigParse(f"bad value for '{key}': {raw!r}") from exc
-        if action.choices is not None and value not in action.choices:
-            raise ConfigParse(f"bad value for '{key}': {raw!r}")
-        defaults[action.dest] = value
     return defaults
 
 

@@ -161,8 +161,7 @@ def graphon_tree_count_rhs(W) -> float:
 def normalized_tree_count_vs_graphon(G: MultiGraph, W) -> tuple[float, float]:
     """Return (t(G)^{1/n} / n, exp(sum_i mu_i log d_i)); comparison left to caller."""
     log_t = log_spanning_tree_count(G)
-    n = G.n
-    lhs = math.exp(log_t / n - math.log(n))
+    lhs = float(np.exp(log_t / G.n) / G.n)  # the bits `count-trees` prints as "normalized"
     return lhs, graphon_tree_count_rhs(W)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDegree, NumericError, is_integer
+from .errors import InvalidDegree, NumericError, ParameterOutOfRange, is_integer
 from .multigraph import MultiGraph, vertex_count
 from .rng import stream
 
@@ -108,10 +108,13 @@ def sharpness_graph(n: int, k: int, alpha: float, seed: int) -> MultiGraph:
 
     The UST of this graph pushes the density of degree-k vertices toward the
     extremal upper bound as alpha -> 0.  With alpha = 0 the graph is
-    disconnected and the UST is undefined.
+    disconnected and the UST is undefined.  An alpha that is not a real
+    number in [0, 1] (-0.5, nan, 1.5, "0.5", True) raises ParameterOutOfRange.
     """
     n = vertex_count(n)
     _check_degree(k, 4)
+    if not (is_integer(alpha) or isinstance(alpha, (float, np.floating))) or not 0.0 <= alpha <= 1.0:
+        raise ParameterOutOfRange(f"alpha {alpha!r} is not a real number in [0, 1]")
     m = round(n / (k - 2))
     rng = stream(seed)
     edges = [(i, j, 1) for i in range(m) for j in range(i + 1, m)]

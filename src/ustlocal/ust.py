@@ -4,16 +4,16 @@ Sampling is Wilson's loop-erased-random-walk algorithm rooted at vertex 0
 (uniformity is root-independent; fixing the root aids reproducibility).
 Parallel copies are distinguishable: a tree edge is (u, v, copy).
 
-Both walk samplers step through `MultiGraph.step_table`, whose row x lists
-each neighbour once per parallel copy: a walker at x draws a uniform u and
-moves to nb[base[x] + floor(u deg(x))], that is to y with probability
-mult(x, y) / deg(x).  The step is inlined in each sampler's loop, over a
-memoryview of `nb`.  The walk's parent pointers are the tree: a sampler
-returns them with one copy index per vertex (`SpanningTree.from_parents`).
-Edge-built trees are checked by the one connectivity routine,
-`multigraph.forest_roots`.  The exhaustive deletion-contraction
-enumerator is a test oracle (`tests/ust_oracle.py`), not part of the
-library.
+The walk steps through `MultiGraph.step_table`, whose row x lists each
+neighbour once per parallel copy: a walker at x draws a uniform u and moves
+to nb[base[x] + floor(u deg(x))], that is to y with probability
+mult(x, y) / deg(x).  The step is inlined in the loop, over a memoryview of
+`nb`, and the walk's parent pointers, with one copy index per vertex, are
+the tree (`SpanningTree.from_parents`).  Edge-built trees are checked by
+`multigraph.forest_roots`.  Wilson's walks take the mean hitting time,
+never more than the cover time of Aldous-Broder's first-entrance walk, so
+that sampler and the exhaustive deletion-contraction enumerator are test
+oracles (`tests/ust_oracle.py`), not part of the library.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ class SpanningTree:
     """A spanning tree of an n-vertex host graph, with (u, v, copy) edges.
 
     Built from an edge list, or from a parent array (`from_parents`), the
-    form the walk samplers produce.  Each form is derived from the other
+    form the walk sampler produces.  Each form is derived from the other
     on first use: `edges`, the sorted tuple of (u, v, copy) with u < v,
     which equality, hashing and `edge_pairs` read; and `rooted()`, the
     parent array, which the census and `degree_counts` read.  A tree built
@@ -47,8 +47,8 @@ class SpanningTree:
         self.n = vertex_count(n)
         norm = []
         for entry in edges:
-            if len(entry) != 3 or not all(is_integer(x) for x in entry):
-                raise MalformedEdge(f"tree edge {tuple(entry)!r} is not (u, v, copy) in integers")
+            if len(entry) != 3 or not all(is_integer(x) for x in entry) or entry[2] < 0:
+                raise MalformedEdge(f"tree edge {tuple(entry)!r} is not (u, v, copy) in integers, copy >= 0")
             a, b = _normalize_pair(int(entry[0]), int(entry[1]))
             if a < 0 or b >= self.n:
                 raise VertexOutOfRange(f"tree edge ({a},{b}) outside 0..{self.n - 1}")
@@ -74,7 +74,7 @@ class SpanningTree:
         parent[root] is root.  Refused as the edge-list constructor refuses
         an edge set: a vertex count, root or parent that is not an integer
         in range raises VertexOutOfRange, a copy index that is not an
-        integer MalformedEdge; arrays that are not n long, a root
+        integer >= 0 MalformedEdge; arrays that are not n long, a root
         that is not its own parent, and a vertex that never reaches the root
         (on a cycle, or its own parent) raise PreconditionError.  The last is
         checked by pointer doubling: after k rounds every vertex points 2^k
@@ -88,8 +88,8 @@ class SpanningTree:
         # a cast would read a parent of 1.5 as 1
         if parent.dtype.kind not in "iu":
             raise VertexOutOfRange(f"parents of dtype {parent.dtype} are not integers")
-        if copies.dtype.kind not in "iu":
-            raise MalformedEdge(f"copies of dtype {copies.dtype} are not integers")
+        if copies.dtype.kind not in "iu" or (copies < 0).any():
+            raise MalformedEdge(f"copies of dtype {copies.dtype} are not all integers >= 0")
         parent, copies = parent.astype(np.int64, copy=False), copies.astype(np.int64, copy=False)
         outside = (parent < 0) | (parent >= n)
         if outside.any():
@@ -161,17 +161,15 @@ class SpanningTree:
         return f"SpanningTree(n={self.n})"
 
 
-def _copies(G: MultiGraph, parent: np.ndarray, rng, order=None) -> np.ndarray:
+def _copies(G: MultiGraph, parent: np.ndarray, rng) -> np.ndarray:
     """Which parallel copy joins each vertex to its parent, uniformly at random.
 
-    On a multigraph one `integers` draw per vertex of `order` (by default
-    every vertex but the root, in vertex order) with more than one copy.
+    On a multigraph one `integers` draw per vertex with more than one copy,
+    in vertex order, the root (its own parent) skipped.
     """
     copies = np.zeros(G.n, dtype=np.int64)
     if not G.is_simple:
-        if order is None:
-            order = np.flatnonzero(parent != np.arange(G.n))  # the root is its own parent
-        order = np.asarray(order, dtype=np.int64)
+        order = np.flatnonzero(parent != np.arange(G.n))
         mult = G.multiplicities(order, parent[order]).tolist()
         copies[order] = [int(rng.integers(0, m)) if m > 1 else 0 for m in mult]
     return copies
@@ -238,40 +236,3 @@ def wilson_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
     nxt, _steps = _wilson_walk(*table, root, rng)
     parent = np.array(nxt, dtype=np.int64)
     return SpanningTree.from_parents(G.n, parent, _copies(G, parent, rng), root)
-
-
-def aldous_broder_sample(G: MultiGraph, seed: int, root: int = 0) -> SpanningTree:
-    """First-entrance random-walk sampler, kept as an independent cross-check.
-
-    Steps as `_wilson_walk` does; each vertex's parent is the vertex the
-    walk first entered it from, and copies are drawn in order of entry.
-    """
-    nb, base, deg = _walk_table(G, root)
-    if G.n == 1:
-        return SpanningTree(1, [])
-    rng = stream(seed)
-    blocks = uniform_blocks(rng)
-    unif = next(blocks)
-    size = len(unif)
-    pos = 0
-    parent = list(range(G.n))
-    visited = [False] * G.n
-    visited[root] = True
-    order = []
-    x = root
-    while len(order) < G.n - 1:
-        if pos == size:
-            unif = next(blocks)
-            size = len(unif)
-            pos = 0
-        d = deg[x]
-        k = int(unif[pos] * d)
-        pos += 1
-        y = nb[base[x] + (k if k < d else d - 1)]
-        if not visited[y]:
-            visited[y] = True
-            parent[y] = x
-            order.append(y)
-        x = y
-    parent = np.array(parent, dtype=np.int64)
-    return SpanningTree.from_parents(G.n, parent, _copies(G, parent, rng, order), root)

@@ -31,7 +31,7 @@ from ustlocal.graphon import constant_graphon, degree_profile_compare, sample_w_
 from ustlocal.multigraph import MAX_VERTICES, MultiGraph, complete_graph, cycle_graph, path_graph
 from ustlocal.rng import stream
 from ustlocal.trees import RootedTree, ball, local_census
-from ustlocal.ust import SpanningTree, aldous_broder_sample, wilson_sample
+from ustlocal.ust import SpanningTree, wilson_sample
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None, -1])
@@ -211,18 +211,15 @@ def test_vertex_counts_take_numpy_integers():
 @pytest.mark.parametrize("root", [1.5, 1.0, True, "1", None])
 def test_sampler_roots_reject_non_integers(root):
     # 1.5 and "1" escaped as a raw TypeError, True as a raw ValueError
-    C5 = cycle_graph(5)
-    for sampler in (wilson_sample, aldous_broder_sample):
-        with pytest.raises(VertexOutOfRange):
-            sampler(C5, 1, root=root)
+    with pytest.raises(VertexOutOfRange):
+        wilson_sample(cycle_graph(5), 1, root=root)
     with pytest.raises(VertexOutOfRange):
         SpanningTree.from_parents(2, [0, 0], [0, 0], root)
 
 
 def test_sampler_roots_take_numpy_integers():
     C5 = cycle_graph(5)
-    for sampler in (wilson_sample, aldous_broder_sample):
-        assert sampler(C5, 1, root=np.int64(3)) == sampler(C5, 1, root=3)
+    assert wilson_sample(C5, 1, root=np.int64(3)) == wilson_sample(C5, 1, root=3)
     assert SpanningTree.from_parents(2, [1, 1], [0, 0], np.uint8(1)) == SpanningTree(2, [(0, 1, 0)])
 
 
@@ -238,6 +235,13 @@ def test_parent_arrays_reject_non_integers():
     assert tree == SpanningTree(3, [(0, 1, 0), (1, 2, 0)])
 
 
+@pytest.mark.parametrize("copies", [[0, -5, 2**40], np.array([0, 0, -1], dtype=np.int8), [-1, 0, 0]])
+def test_parent_arrays_reject_negative_copies(copies):
+    # [0, -5, 2**40] made the edges (0, 1, -5) and (1, 2, 2**40)
+    with pytest.raises(MalformedEdge):
+        SpanningTree.from_parents(3, [0, 0, 1], copies, 0)
+
+
 @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None, -1])
 def test_spanning_tree_rejects_non_integer_counts(n):
     # SpanningTree(2.5, ...) ran with n = 2
@@ -247,9 +251,11 @@ def test_spanning_tree_rejects_non_integer_counts(n):
         SpanningTree.from_parents(n, [0, 0], [0, 0], 0)
 
 
-@pytest.mark.parametrize("edge", [(0, 1, 1.5), (0, "1", 0), (0.0, 1, 0), (0, 1, True), (0, 1), (0, 1, 0, 0)])
+@pytest.mark.parametrize("edge", [(0, 1, 1.5), (0, "1", 0), (0.0, 1, 0), (0, 1, True), (0, 1), (0, 1, 0, 0),
+                                  (0, 1, -1), (0, 1, np.int64(-1))])
 def test_spanning_tree_rejects_malformed_edges(edge):
-    # (1, 2, 1.5) and (1, "2", 0) were cast to (1, 2, 1) and (1, 2, 0)
+    # (1, 2, 1.5) and (1, "2", 0) were cast to (1, 2, 1) and (1, 2, 0), and
+    # (0, 1, -1) was taken as copy -1
     with pytest.raises(MalformedEdge):
         SpanningTree(3, [(0, 2, 0), edge])
 
@@ -310,6 +316,23 @@ def test_sharpness_graph_rejects_non_integer_n(n):
     # sharpness_graph(20.5, ...) escaped as a raw TypeError
     with pytest.raises(VertexOutOfRange):
         sharpness_graph(n, 4, 0.1, 1)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, float("nan"), 1.5, float("inf"), "0.5", None, True, [0.5]])
+def test_sharpness_graph_rejects_bad_alpha(alpha):
+    # -0.5 and nan gave the disconnected clique-plus-isolated graph, 1.5 ran
+    # as 1, and "0.5" and None escaped as a raw TypeError
+    with pytest.raises(ParameterOutOfRange):
+        sharpness_graph(20, 4, alpha, 1)
+
+
+def test_sharpness_graph_takes_alpha_in_the_unit_interval():
+    full = sharpness_graph(20, 4, 1, 1)
+    assert full.num_edges == 45 + 10 * 10 and full.is_connected()
+    assert list(sharpness_graph(20, 4, 1.0, 1).edges()) == list(full.edges())
+    assert sharpness_graph(20, 4, 0, 1).num_edges == 45
+    G, H = sharpness_graph(20, 4, np.float64(0.3), 2), sharpness_graph(20, 4, 0.3, 2)
+    assert list(G.edges()) == list(H.edges())
 
 
 def test_degrees_take_numpy_integers():

@@ -225,14 +225,6 @@ def test_pattern_above_partition_lattice_limit_exit_code(workdir, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "PatternTooLarge"
 
 
-def test_cross_check_sampler_flag(workdir):
-    res = run_cli("ust", "--graph", str(workdir / "k8.txt"), "--samples", "2",
-                  "--seed", "5", "--sampler", "aldous-broder")
-    assert res.returncode == 0, res.stderr
-    rec = json.loads(res.stdout.strip().splitlines()[0])
-    assert sum(rec["census"].values()) == 8
-
-
 def test_freq_consumes_decomposition_file(workdir):
     dec_path = workdir / "dec.json"
     run_cli("decompose", "--graph", str(workdir / "k8.txt"), "--gamma", "0.5",
@@ -329,7 +321,7 @@ def test_config_flag_wins_in_equals_form(workdir, capsys):
 @pytest.mark.parametrize("line,detail", [
     ("colour = red", "unknown config key 'colour' in section [ust]"),
     ("radius = many", "bad value for 'radius': 'many'"),
-    ("sampler = metropolis", "bad value for 'sampler': 'metropolis'"),
+    ("sampler = wilson", "unknown config key 'sampler' in section [ust]"),
 ])
 def test_config_bad_entries_exit_code(workdir, capsys, line, detail):
     cfg = _ust_config(workdir)
@@ -443,7 +435,7 @@ def test_walk_one_vertex_exit_code(tmp_path, capsys):
 # every subcommand's options, required ones first, in the order they are reported
 OPTIONS = {
     "gen": ("graphon", "n", "seed", "out"),
-    "ust": ("graph", "samples", "seed", "radius", "sampler", "threads", "out"),
+    "ust": ("graph", "samples", "seed", "radius", "threads", "out"),
     "freq": ("pattern", "graphon", "graph", "decomp", "alpha", "eps", "out"),
     "branching": ("graphon", "depth", "samples", "seed", "out"),
     "decompose": ("graph", "gamma", "eta", "eps", "out"),
@@ -463,7 +455,9 @@ REQUIRED = {
     "walk": ("graph",),
     "extremal": (),
 }
-ALL_FLAGS = sorted({flag for flags in OPTIONS.values() for flag in flags})
+# flags that no subcommand takes any more: `ust --sampler` chose Aldous-Broder
+RETIRED = ("sampler",)
+ALL_FLAGS = sorted({flag for flags in OPTIONS.values() for flag in flags} | set(RETIRED))
 FOREIGN = [(command, flag) for command in OPTIONS for flag in ALL_FLAGS
            if flag not in OPTIONS[command]]
 # a value of the right type for every flag, so only the flag itself can be refused
@@ -481,7 +475,7 @@ def test_option_table_is_the_contract():
     assert required == REQUIRED
     _parser, subcommands = cli._build_parser()
     settable = sum(len([a for a in p._actions if a.dest != "help"]) for p in subcommands.values())
-    assert settable == 49  # each table row plus --config
+    assert settable == 48  # each table row plus --config
 
 
 @pytest.mark.parametrize("command,flag", FOREIGN, ids=[f"{c}-{f}" for c, f in FOREIGN])

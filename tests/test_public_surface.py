@@ -7,7 +7,7 @@ import ustlocal
 EXPORTS = (
     "DegreeBound", "ExpanderDecomposition", "FreqReport", "GoodnessReport", "LaplacianSystem",
     "MultiGraph", "RootedTree", "SpanningTree", "StepGraphon", "WalkProfile",
-    "aldous_broder_sample", "ball", "big_parts", "closed_form_max", "complete_graph",
+    "ball", "big_parts", "closed_form_max", "complete_graph",
     "constant_graphon", "cross_edge_count", "cut_norm_step", "cycle_graph", "degree_counts",
     "degree_density_bound", "degree_profile_compare", "edge_ust_probability",
     "effective_resistance", "enumerate_rooted_trees", "expander_decompose", "freq_graph",

@@ -1,10 +1,10 @@
-"""Property tests: the walk samplers against the oracle samplers."""
+"""Property tests: the walk sampler against the oracle sampler."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ustlocal.errors import UstlocalError
 from ustlocal.multigraph import MultiGraph
-from ustlocal.ust import aldous_broder_sample, wilson_sample
+from ustlocal.ust import wilson_sample
 
 import ust_oracle
 
@@ -32,11 +32,7 @@ def _outcome(call, *args):
 @PROPERTY
 @given(st.one_of(multigraphs(), multigraphs(max_mult=1)), st.data(), st.integers(0, 2**32))
 def test_walk_samplers_match_oracle(G, data, seed):
-    # the inlined walks and parent-array trees against the earlier samplers:
+    # the inlined walk and parent-array tree against the earlier sampler:
     # the same edges and copies, or the same error class
     root = data.draw(st.integers(0, G.n - 1))
-    for sampler, oracle in (
-        (wilson_sample, ust_oracle.wilson_sample),
-        (aldous_broder_sample, ust_oracle.aldous_broder_sample),
-    ):
-        assert _outcome(sampler, G, seed, root) == _outcome(oracle, G, seed, root)
+    assert _outcome(wilson_sample, G, seed, root) == _outcome(ust_oracle.wilson_sample, G, seed, root)

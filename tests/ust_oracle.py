@@ -1,9 +1,10 @@
 """Reference spanning-tree operations that only the tests use.
 
-`wilson_sample` and `aldous_broder_sample` are the library's earlier
-samplers: one `_step` call and one buffered uniform per walk step, and the
-tree built from its (u, v, copy) edge list.  The library samplers must
-return the same trees, copies included.
+`wilson_sample` is the library's earlier sampler: one `_step` call and one
+buffered uniform per walk step, and the tree built from its (u, v, copy)
+edge list.  The library sampler must return the same trees, copies
+included.  `aldous_broder_sample`, the first-entrance walk on the same
+steps, is the independent sampler that the uniformity tests also check.
 
 `enumerate_spanning_trees` is the exhaustive deletion-contraction
 enumerator, which the library no longer carries: the Kirchhoff, uniformity
